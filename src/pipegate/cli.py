@@ -376,7 +376,9 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
 def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     cfg, inputs, p_m_published = _simulate_config(args)
     outcome = sim.compare(cfg, workers=args.workers)
-    probe = sim.survivor_precision_probe(cfg, workers=args.workers)
+    probe = outcome.survivor_precision
+    if probe is None:
+        raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
 
     m = cfg.n_total
     tpr_m, fpr_m = cfg.screener.tpr, cfg.screener.fpr

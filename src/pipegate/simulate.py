@@ -9,9 +9,18 @@ within sampling error is the acceptance oracle for the whole model.
 Reproducibility contract: every trial draws from its own Philox counter-based
 stream keyed by (seed, trial index, pipeline), so results are bit-identical
 for a fixed (seed, config) no matter how many workers execute the trials or
-in which order.  The generator identity (numpy Philox, 3 uniform variates per
-item in label / screener / validator order) is part of the external contract;
-changing it invalidates golden outputs.
+in which order.  The generator identity is part of the external contract;
+changing it invalidates golden outputs.  From its one stream, an augmented
+trial over m = n + delta_n items draws m label variates, then m screener
+variates, then m validator variates; a baseline trial draws n labels, then n
+validator variates.  Each run is drawn in chunks of 8192 doubles (64 KiB)
+into one reused buffer.  Consecutive draws continue the Philox counter where
+the last stopped, so the chunks hold exactly the variates that one
+``random(m)`` call would return.
+
+Memory per worker thread is one bool mask of m items, reused across its
+trials, plus the 64 KiB chunk and two 8 KiB chunk masks.  Trials are
+dispatched as contiguous blocks, one per worker thread.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -20,6 +29,7 @@ only turn rejections into passes, never the reverse (monotone coupling).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,17 +51,23 @@ __all__ = [
     "compare",
     "survivor_precision_probe",
     "VERDICT_INCONCLUSIVE",
+    "NOTHING_SURVIVES",
     "PRECISION_AS_PUBLISHED",
     "PRECISION_CONSISTENT",
 ]
 
 VERDICT_INCONCLUSIVE = "inconclusive"
+NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
 
 PRECISION_AS_PUBLISHED = "as-published"
 PRECISION_CONSISTENT = "prevalence-consistent"
 
 _BASELINE_STREAM = 0
 _AUGMENTED_STREAM = 1
+
+# Doubles per draw: 64 KiB, so a chunk and the masks it is compared into
+# stay in a per-core L2 cache between the draw and the comparison.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -136,6 +152,9 @@ class SimOutcome:
     survivors: Stat
     verdict: str
     trials: int
+    # Screener precision from the same augmented samples; None when the
+    # screener passed nothing in every trial.
+    survivor_precision: Stat | None
 
 
 def _summarize(samples: np.ndarray) -> Stat:
@@ -146,52 +165,126 @@ def _summarize(samples: np.ndarray) -> Stat:
     return Stat(mean=mean, se=se)
 
 
-def _trial_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    key = np.array([seed, (trial << 1) | stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _Worker:
+    """One worker thread's generator and buffers, reused by each of its trials.
+
+    Re-keying one Philox through its state gives the stream a fresh
+    ``Philox(key=...)`` would, without constructing a generator per trial.
+    """
+
+    def __init__(self, items: int) -> None:
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._philox = np.random.Philox(key=0)
+        self._rng = np.random.Generator(self._philox)
+        self._mask = np.empty(items, dtype=bool)
+        self._u = np.empty(_CHUNK, dtype=np.float64)
+        self._passed = np.empty(_CHUNK, dtype=bool)
+        self._hit = np.empty(_CHUNK, dtype=bool)
+
+    def start(self, seed: int, trial: int, stream: int) -> None:
+        """Point the generator at the start of this trial's stream."""
+        self._key[0] = seed
+        self._key[1] = (trial << 1) | stream
+        self._philox.state = self._state
+
+    def draws(self, items: int):
+        """Yield (item slice, its variates) for the next ``items`` draws."""
+        for lo in range(0, items, _CHUNK):
+            hi = min(lo + _CHUNK, items)
+            u = self._u[: hi - lo]
+            self._rng.random(out=u)
+            yield slice(lo, hi), u
+
+    def labels(self, pi: float, items: int) -> np.ndarray:
+        """Draw which of ``items`` patches are good, into the reused mask."""
+        good = self._mask[:items]
+        for s, u in self.draws(items):
+            np.less(u, pi, out=good[s])
+        return good
+
+    def screen(self, rates: RateTriple, good: np.ndarray) -> int:
+        """Pass each item at its rate; ``good`` becomes the good survivors.
+
+        Returns the number of survivors, good or not.
+        """
+        survivors = 0
+        for s, u in self.draws(good.size):
+            kept = good[s]
+            passed, hit = self._passed[: u.size], self._hit[: u.size]
+            np.less(u, rates.fpr, out=passed)
+            np.greater(passed, kept, out=passed)  # bad items passed
+            np.less(u, rates.tpr, out=hit)
+            kept &= hit
+            survivors += int(np.count_nonzero(passed)) + int(np.count_nonzero(kept))
+        return survivors
+
+    def true_positives(self, tpr: float, good: np.ndarray) -> int:
+        """Good items the validator passes; its FPR never reaches this count."""
+        tp = 0
+        for s, u in self.draws(good.size):
+            hit = self._hit[: u.size]
+            np.less(u, tpr, out=hit)
+            hit &= good[s]
+            tp += int(np.count_nonzero(hit))
+        return tp
 
 
-def _baseline_trial(cfg: SimConfig, trial: int) -> tuple[float, float]:
-    rng = _trial_rng(cfg.seed, trial, _BASELINE_STREAM)
-    good = rng.random(cfg.n) < cfg.pi
-    u_v = rng.random(cfg.n)
-    passes = np.where(good, u_v < cfg.validator.tpr, u_v < cfg.validator.fpr)
-    tp = float(np.count_nonzero(passes & good))
-    return tp, cfg.n * cfg.tau_v
+def _baseline_trial(cfg: SimConfig, trial: int, w: _Worker) -> tuple[float, float]:
+    w.start(cfg.seed, trial, _BASELINE_STREAM)
+    good = w.labels(cfg.pi, cfg.n)
+    tp = w.true_positives(cfg.validator.tpr, good)
+    return float(tp), cfg.n * cfg.tau_v
 
 
-def _augmented_trial(cfg: SimConfig, trial: int) -> tuple[float, float, float, float]:
-    rng = _trial_rng(cfg.seed, trial, _AUGMENTED_STREAM)
+def _augmented_trial(cfg: SimConfig, trial: int, w: _Worker) -> tuple[float, float, float, float]:
+    w.start(cfg.seed, trial, _AUGMENTED_STREAM)
     m = cfg.n_total
-    good = rng.random(m) < cfg.pi
-    u_m = rng.random(m)
-    u_v = rng.random(m)
-    pass_m = np.where(good, u_m < cfg.screener.tpr, u_m < cfg.screener.fpr)
-    survivors = float(np.count_nonzero(pass_m))
-    good_survivors = float(np.count_nonzero(pass_m & good))
-    pass_v = np.where(good, u_v < cfg.validator.tpr, u_v < cfg.validator.fpr)
-    tp = float(np.count_nonzero(pass_m & good & pass_v))
+    good = w.labels(cfg.pi, m)
+    survivors = w.screen(cfg.screener, good)
+    good_survivors = int(np.count_nonzero(good))
+    tp = w.true_positives(cfg.validator.tpr, good)
     time = cfg.tau_m * m + cfg.tau_v * survivors
-    return tp, time, survivors, good_survivors
+    return float(tp), time, float(survivors), float(good_survivors)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _map_trials(cfg: SimConfig, fn, width: int, workers: int) -> np.ndarray:
     """Run one function per trial into a (width, trials) array.
 
+    Trials are split into at most ``workers`` contiguous blocks, one thread
+    each, capped at the trial count and at the CPUs this process may use.
     Results land at their trial index, so the output is identical for any
     worker count or completion order.
     """
-    out = np.empty((width, cfg.trials), dtype=np.float64)
+    trials = cfg.trials
+    out = np.empty((width, trials), dtype=np.float64)
+    threads = max(1, min(workers, trials, _usable_cpus()))
+    blocks = [range(trials * i // threads, trials * (i + 1) // threads) for i in range(threads)]
 
-    def work(t: int) -> None:
-        out[:, t] = fn(cfg, t)
+    def work(block: range) -> None:
+        worker = _Worker(cfg.n_total)
+        for t in block:
+            out[:, t] = fn(cfg, t, worker)
 
-    if workers <= 1:
-        for t in range(cfg.trials):
-            work(t)
+    if threads == 1:
+        work(blocks[0])
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(cfg.trials)))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, blocks))
     return out
 
 
@@ -238,17 +331,12 @@ def compare(cfg: SimConfig, workers: int = 1) -> SimOutcome:
         survivors=aug.survivors_stat(),
         verdict=_margin_verdict(base, aug),
         trials=cfg.trials,
+        survivor_precision=_survivor_precision(aug),
     )
 
 
-def survivor_precision_probe(cfg: SimConfig, workers: int = 1) -> Stat:
-    """Empirical screener precision at the generator prevalence.
-
-    Quantifies the gap between the as-published screener precision and the
-    prevalence-consistent value pi*tpr / (pi*tpr + (1-pi)*fpr): the probe
-    converges on the latter.
-    """
-    aug = run_augmented(cfg, workers=workers)
+def _survivor_precision(aug: PipelineSamples) -> Stat | None:
+    """Mean and SE of good survivors / survivors over the trials with survivors."""
     assert aug.survivors is not None and aug.good_survivors is not None
     with np.errstate(invalid="ignore"):
         per_trial = np.divide(
@@ -258,6 +346,18 @@ def survivor_precision_probe(cfg: SimConfig, workers: int = 1) -> Stat:
             where=aug.survivors > 0,
         )
     valid = per_trial[~np.isnan(per_trial)]
-    if valid.size == 0:
-        raise MetricsError("screener passed nothing in every trial; precision undefined")
-    return _summarize(valid)
+    return _summarize(valid) if valid.size else None
+
+
+def survivor_precision_probe(cfg: SimConfig, workers: int = 1) -> Stat:
+    """Empirical screener precision at the generator prevalence.
+
+    Quantifies the gap between the as-published screener precision and the
+    prevalence-consistent value pi*tpr / (pi*tpr + (1-pi)*fpr): the probe
+    converges on the latter.  ``compare`` reports the same statistic as
+    ``SimOutcome.survivor_precision`` without a second augmented run.
+    """
+    stat = _survivor_precision(run_augmented(cfg, workers=workers))
+    if stat is None:
+        raise MetricsError(NOTHING_SURVIVES)
+    return stat

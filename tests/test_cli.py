@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, formats, schema conformance."""
 
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
 
 import pytest
 
+from pipegate import simulate as sim
 from pipegate.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "output_schema.json"
@@ -159,6 +161,63 @@ class TestSimulate:
         assert doc1["inputs"].pop("workers") == 1
         assert doc4["inputs"].pop("workers") == 4
         assert doc1 == doc4
+
+    # sha256 of the canonical-JSON `results` object, pinned from the
+    # single-shot sampler.  Item counts (baseline n, augmented n + delta_n)
+    # straddle the 8192-variate draw chunk: 1000/1100 sit below it,
+    # 16000/16384 end on exactly 2 chunks, 16385/16385 spill 1 item into a
+    # third.  Trial counts 5 and 7 do not split evenly over 2 or 3 workers.
+    GOLDEN = [
+        (
+            "simulate --model VulDeePecker --pi 0.38 --n 1000 --delta-ratio 0.1"
+            " --tau-v 600 --trials 7 --seed 3",
+            "bef6a4385dacc1804a266d96723ca3c4c76fd095b311fa67114e31145f6a6e76",
+        ),
+        (
+            "simulate --tpr-m 0.8 --fpr-m 0.3 --pi 0.2 --n 16000 --delta-ratio 0.024"
+            " --tau-v 5 --tau-m 1 --validator-tpr 0.9 --validator-fpr 0.05 --trials 5 --seed 11",
+            "ba1a97673a6e4045aa875c48c9469b13564762ce9a6f1cf8252a1dd553b4a0f2",
+        ),
+        (
+            "simulate --model LineVul --tau-m 2 --pi 0.5 --n 16385 --tau-v 30 --trials 5"
+            " --seed 7 --precision-mode prevalence-consistent",
+            "60ccc5b69cafc1422cc09beeb4c38d9b4aa86adfb3b8314f60dfc4e48d215b13",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", GOLDEN)
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_golden_results_digest(self, capsys, argv, digest, workers):
+        code, doc, _ = run_json(capsys, *argv.split(), "--workers", workers)
+        assert code == 0
+        canonical = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+    def test_one_augmented_run_per_simulate(self, capsys, monkeypatch):
+        configs = []
+        run_augmented = sim.run_augmented
+
+        def counting(cfg, workers=1):
+            configs.append(cfg)
+            return run_augmented(cfg, workers=workers)
+
+        monkeypatch.setattr(sim, "run_augmented", counting)
+        code, doc, _ = run_json(capsys, *self.ARGS, "--workers", "2")
+        assert code == 0
+        assert len(configs) == 1
+        probe = sim.survivor_precision_probe(configs[0])
+        precision = doc["results"]["screener_precision"]
+        assert precision["empirical_mean"] == probe.mean
+        assert precision["empirical_se"] == probe.se
+
+    def test_screener_passing_nothing_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--tpr-m", "0", "--fpr-m", "0", "--pi", "0.38",
+            "--n", "100", "--tau-v", "1", "--tau-m", "0", "--trials", "3",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: screener passed nothing in every trial; precision undefined\n"
 
     def test_agreement_and_verdict(self, capsys):
         code, doc, _ = run_json(capsys, *self.ARGS)

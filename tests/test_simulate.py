@@ -1,10 +1,12 @@
 """Monte Carlo oracle: determinism, unbiasedness, coupling, time accounting."""
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from pipegate import simulate
 from pipegate.metrics import MetricsError, RateTriple, precision_at_prevalence
 from pipegate.simulate import (
     VERDICT_INCONCLUSIVE,
@@ -57,6 +59,63 @@ class TestDeterminism:
         # pass-through screener over the same n: per-trial TPs come from
         # different streams, so they should not be identical trial by trial
         assert not np.array_equal(base.tp, aug.tp)
+
+
+def single_shot_trial(cfg, trial, stream):
+    """Reference sampler: one ``random(m)`` call per variate kind."""
+    key = np.array([cfg.seed, (trial << 1) | stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    m = cfg.n if stream == simulate._BASELINE_STREAM else cfg.n_total
+    good = rng.random(m) < cfg.pi
+    if stream == simulate._BASELINE_STREAM:
+        pass_m = np.ones(m, dtype=bool)
+    else:
+        u_m = rng.random(m)
+        pass_m = np.where(good, u_m < cfg.screener.tpr, u_m < cfg.screener.fpr)
+    u_v = rng.random(m)
+    pass_v = np.where(good, u_v < cfg.validator.tpr, u_v < cfg.validator.fpr)
+    return (
+        np.count_nonzero(pass_m & good & pass_v),
+        np.count_nonzero(pass_m),
+        np.count_nonzero(pass_m & good),
+    )
+
+
+class TestChunkedKernel:
+    @pytest.mark.parametrize(
+        "items", [1, simulate._CHUNK - 1, simulate._CHUNK, 2 * simulate._CHUNK + 1]
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_single_shot_reference(self, items, workers):
+        cfg = make_config(
+            n=items, delta_n=0, trials=3, seed=2**64 - 1,
+            screener=RateTriple(tpr=0.3, fpr=0.6),
+            validator=RateTriple(tpr=0.8, fpr=0.2),
+        )
+        base = run_baseline(cfg, workers=workers)
+        aug = run_augmented(cfg, workers=workers)
+        for t in range(cfg.trials):
+            tp, _, _ = single_shot_trial(cfg, t, simulate._BASELINE_STREAM)
+            assert base.tp[t] == tp
+            tp, surv, good_surv = single_shot_trial(cfg, t, simulate._AUGMENTED_STREAM)
+            assert (aug.tp[t], aug.survivors[t], aug.good_survivors[t]) == (tp, surv, good_surv)
+
+    def test_pool_capped_at_trials_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        small = dict(n=100, delta_n=0)
+        run_augmented(make_config(trials=5, **small), workers=64)  # capped by CPUs
+        run_augmented(make_config(trials=2, **small), workers=64)  # capped by trials
+        run_augmented(make_config(trials=5, **small), workers=2)
+        run_augmented(make_config(trials=1, **small), workers=64)  # runs inline
+        assert sizes == [3, 2, 2]
 
 
 class TestBaseline:
@@ -159,6 +218,12 @@ class TestSurvivorPrecisionProbe:
         stat = survivor_precision_probe(cfg)
         assert stat.mean == 1.0
         assert stat.se == 0.0
+
+    def test_nothing_survives(self):
+        cfg = make_config(screener=RateTriple(tpr=0.0, fpr=0.0), trials=3)
+        assert compare(cfg).survivor_precision is None
+        with pytest.raises(MetricsError, match="passed nothing"):
+            survivor_precision_probe(cfg)
 
     def test_uninformative_screener_precision_equals_prevalence(self):
         cfg = make_config(n=100_000, screener=RateTriple(tpr=0.5, fpr=0.5), trials=100)
