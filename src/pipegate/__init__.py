@@ -31,7 +31,6 @@ from pipegate.bounds import (
     max_model_time,
     min_extra_ratio,
     min_validator_time,
-    ml_survivors,
 )
 from pipegate.catalog import builtin_benchmark, builtin_catalog, load_catalog
 from pipegate.simulate import SimConfig, SimOutcome, compare
@@ -59,7 +58,6 @@ __all__ = [
     "max_model_time",
     "min_extra_ratio",
     "min_validator_time",
-    "ml_survivors",
     "builtin_benchmark",
     "builtin_catalog",
     "load_catalog",

@@ -38,7 +38,6 @@ __all__ = [
     "VERDICT_BOUNDARY",
     "baseline_tp",
     "baseline_time",
-    "ml_survivors",
     "augmented_time",
     "augmented_tp",
     "min_extra_ratio",
@@ -125,17 +124,6 @@ def baseline_time(n: float, tau_v: float) -> float:
     if tau_v < 0:
         raise MetricsError(f"tau_v must be >= 0, got {tau_v}")
     return n * tau_v
-
-
-def ml_survivors(pi: float, n_total: float, r_m: float, p_m: float) -> float:
-    """Expected screener survivors (TP_M + FP_M) = R_M * pi * n_total / P_M."""
-    _check_unit("pi", pi, lo_open=True, hi_open=True)
-    _check_unit("r_m", r_m)
-    if p_m <= 0 or p_m > 1:
-        raise MetricsError(f"p_m must be in (0, 1], got {p_m}")
-    if n_total < 0:
-        raise MetricsError(f"n_total must be >= 0, got {n_total}")
-    return r_m * pi * n_total / p_m
 
 
 def augmented_time(

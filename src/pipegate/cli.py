@@ -18,10 +18,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from pipegate import bounds as bnd
@@ -37,6 +38,10 @@ EXIT_UNKNOWN = 2
 EXIT_INVALID = 3
 
 CATALOG_ENV_VAR = "PIPEGATE_CATALOG"
+
+# Which screener precision ``simulate`` feeds its analytic verdict.
+PRECISION_AS_PUBLISHED = "as-published"
+PRECISION_CONSISTENT = "prevalence-consistent"
 
 
 class CliError(Exception):
@@ -99,7 +104,10 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def render_json(record: OutputRecord) -> str:
-    return json.dumps(asdict(record), sort_keys=True)
+    try:
+        return json.dumps(asdict(record), sort_keys=True, allow_nan=False)
+    except ValueError:  # finite inputs can still overflow a result to inf
+        raise CliError(EXIT_INVALID, "a result is not a finite number; inputs too large") from None
 
 
 def render_csv(record: OutputRecord) -> str:
@@ -162,18 +170,12 @@ def _resolve_catalog(path_flag: str | None) -> cat.Catalog:
     path = path_flag or os.environ.get(CATALOG_ENV_VAR)
     if path is None:
         return cat.builtin_catalog()
-    try:
-        return cat.load_catalog(path)
-    except cat.CatalogError as exc:
-        raise CliError(EXIT_INVALID, str(exc)) from exc
+    return cat.load_catalog(path)
 
 
 def _resolve_model(catalog: cat.Catalog, name: str) -> cat.ModelRecord:
     if name.endswith(".json") and Path(name).exists():
-        try:
-            file_cat = cat.load_catalog(name)
-        except cat.CatalogError as exc:
-            raise CliError(EXIT_INVALID, str(exc)) from exc
+        file_cat = cat.load_catalog(name)
         if len(file_cat.models) != 1:
             raise CliError(
                 EXIT_INVALID,
@@ -186,29 +188,6 @@ def _resolve_model(catalog: cat.Catalog, name: str) -> cat.ModelRecord:
     except cat.UnknownModelError:
         known = ", ".join(catalog.names())
         raise CliError(EXIT_UNKNOWN, f"unknown model {name!r}; known: {known}") from None
-
-
-@dataclass(frozen=True)
-class ScreenerMetrics:
-    precision: float  # as published, via the detector inversion formula
-    recall: float
-    fpr: float
-    latency: float | None
-
-
-def _invert_record(record: cat.ModelRecord) -> ScreenerMetrics:
-    spec = record.spec
-    assert spec.fpr is not None  # catalogs always carry or complete the fpr
-    try:
-        p_m = met.invert_detector_precision(spec.precision, spec.recall, spec.fpr)
-    except met.MetricsError as exc:
-        raise CliError(EXIT_INVALID, str(exc)) from exc
-    return ScreenerMetrics(
-        precision=p_m,
-        recall=met.invert_detector_recall(spec.fpr),
-        fpr=met.invert_detector_fpr(spec.recall),
-        latency=spec.latency,
-    )
 
 
 def _detector_inputs(record: cat.ModelRecord) -> dict:
@@ -229,7 +208,7 @@ def _detector_inputs(record: cat.ModelRecord) -> dict:
 def cmd_invert(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     catalog = _resolve_catalog(args.catalog)
     record = _resolve_model(catalog, args.model)
-    scr = _invert_record(record)
+    scr = met.invert_detector(record.spec)
     results = {
         "screener_precision": _tagged(scr.precision, "derived"),
         "screener_recall": _tagged(scr.recall, "derived"),
@@ -248,7 +227,7 @@ def cmd_invert(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     catalog = _resolve_catalog(args.catalog)
     record = _resolve_model(catalog, args.model)
-    scr = _invert_record(record)
+    scr = met.invert_detector(record.spec)
     pi = args.pi
     tau_m = args.tau_m if args.tau_m is not None else scr.latency
     tau_v = args.tau_v
@@ -281,9 +260,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             out.results["max_model_time_tight_seconds"] = _tagged(budget.tight, "derived")
     if tau_m is not None and tau_v is not None:
         validator = met.ClassifierSpec(precision=1.0, recall=1.0, latency=tau_v)
-        screener = met.ClassifierSpec(
-            precision=scr.precision, recall=scr.recall, fpr=scr.fpr, latency=tau_m
-        )
+        screener = replace(scr, latency=tau_m)
         dn = args.delta_ratio if args.delta_ratio is not None else bnd.min_extra_ratio(scr.recall)
         report = bnd.evaluate(
             bnd.PipelineConfig(pi=pi, n=100.0, validator=validator, screener=screener), dn
@@ -308,9 +285,7 @@ def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     columns = ["model", "q25", "median", "q75", "mean"]
     rows = []
     for record in catalog.models:
-        if record.spec.fpr is None:
-            raise CliError(EXIT_INVALID, f"{record.name}: fpr unavailable")
-        scr = _invert_record(record)
+        scr = met.invert_detector(record.spec)
         cells = []
         for stat, tau_v in benchmark.as_columns().items():
             budget = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi)
@@ -334,7 +309,7 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
     if args.model is not None:
         catalog = _resolve_catalog(args.catalog)
         record = _resolve_model(catalog, args.model)
-        scr = _invert_record(record)
+        scr = met.invert_detector(record.spec)
         tpr_m = scr.recall if args.tpr_m is None else args.tpr_m
         fpr_m = scr.fpr if args.fpr_m is None else args.fpr_m
         tau_m = args.tau_m if args.tau_m is not None else scr.latency
@@ -346,22 +321,20 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         tpr_m, fpr_m, tau_m = args.tpr_m, args.fpr_m, args.tau_m
     if tau_m is None:
         raise CliError(EXIT_INVALID, "screener latency unknown: pass --tau-m")
+    if args.trials < 2:  # one trial has no standard error to check against
+        raise CliError(EXIT_INVALID, f"trials must be >= 2, got {args.trials}")
     delta_n = int(round(args.n * args.delta_ratio))
-    try:
-        cfg = sim.SimConfig(
-            pi=args.pi,
-            n=args.n,
-            delta_n=delta_n,
-            screener=met.RateTriple(tpr=tpr_m, fpr=fpr_m),
-            validator=met.RateTriple(tpr=args.validator_tpr, fpr=args.validator_fpr),
-            tau_m=tau_m,
-            tau_v=args.tau_v,
-            trials=args.trials,
-            seed=args.seed,
-            precision_mode=args.precision_mode,
-        )
-    except met.MetricsError as exc:
-        raise CliError(EXIT_INVALID, str(exc)) from exc
+    cfg = sim.SimConfig(
+        pi=args.pi,
+        n=args.n,
+        delta_n=delta_n,
+        screener=met.RateTriple(tpr=tpr_m, fpr=fpr_m),
+        validator=met.RateTriple(tpr=args.validator_tpr, fpr=args.validator_fpr),
+        tau_m=tau_m,
+        tau_v=args.tau_v,
+        trials=args.trials,
+        seed=args.seed,
+    )
     inputs.update({
         "pi": args.pi, "n": args.n, "delta_n": delta_n,
         "tpr_m": tpr_m, "fpr_m": fpr_m,
@@ -380,42 +353,23 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if probe is None:
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
 
-    m = cfg.n_total
     tpr_m, fpr_m = cfg.screener.tpr, cfg.screener.fpr
-    r_v = cfg.validator.tpr
-    p_consistent = met.precision_at_prevalence(tpr_m, fpr_m, cfg.pi) if tpr_m or fpr_m else None
-    if args.precision_mode == sim.PRECISION_AS_PUBLISHED and p_m_published is not None:
-        p_m = p_m_published
-    elif p_consistent is not None:
-        p_m = p_consistent
-    else:
-        raise CliError(EXIT_INVALID, "screener passes nothing; precision undefined")
+    # some trial had survivors, so the screener passes something
+    p_consistent = met.precision_at_prevalence(tpr_m, fpr_m, cfg.pi)
+    published = args.precision_mode == PRECISION_AS_PUBLISHED and p_m_published is not None
+    p_m = p_m_published if published else p_consistent
 
-    expected = {
-        "baseline_tp": bnd.baseline_tp(cfg.pi, cfg.n, r_v),
-        "augmented_tp": bnd.augmented_tp(cfg.pi, m, tpr_m, r_v),
-        "baseline_time": bnd.baseline_time(cfg.n, cfg.tau_v),
-        "augmented_time": cfg.tau_m * m
-        + cfg.tau_v * (cfg.pi * tpr_m + (1 - cfg.pi) * fpr_m) * m,
-        "survivors": (cfg.pi * tpr_m + (1 - cfg.pi) * fpr_m) * m,
-    }
-    empirical = {
-        "baseline_tp": outcome.baseline_tp,
-        "augmented_tp": outcome.augmented_tp,
-        "baseline_time": outcome.baseline_time,
-        "augmented_time": outcome.augmented_time,
-        "survivors": outcome.survivors,
-    }
     results: dict = {"trials": outcome.trials, "empirical_verdict": outcome.verdict}
     agree_all = True
-    for key, stat in empirical.items():
-        delta = abs(stat.mean - expected[key])
+    for key, expected in sim.expected_outcome(cfg).items():
+        stat = getattr(outcome, key)
+        delta = abs(stat.mean - expected)
         agrees = delta <= 3.0 * stat.se or delta == 0.0
         agree_all = agree_all and agrees
         results[key] = {
             "mean": stat.mean,
             "se": stat.se,
-            "analytic": expected[key],
+            "analytic": expected,
             "within_3se": agrees,
         }
     results["analytic_agreement"] = agree_all
@@ -426,14 +380,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         "empirical_se": probe.se,
     }
 
-    validator = met.ClassifierSpec(precision=1.0, recall=r_v, latency=cfg.tau_v)
-    screener = met.ClassifierSpec(
-        precision=p_m, recall=tpr_m, fpr=fpr_m, latency=cfg.tau_m
-    )
-    dn_ratio = cfg.delta_n / cfg.n
+    validator = met.ClassifierSpec(precision=1.0, recall=cfg.validator.tpr, latency=cfg.tau_v)
+    screener = met.ClassifierSpec(precision=p_m, recall=tpr_m, fpr=fpr_m, latency=cfg.tau_m)
     report = bnd.evaluate(
         bnd.PipelineConfig(pi=cfg.pi, n=float(cfg.n), validator=validator, screener=screener),
-        dn_ratio,
+        cfg.delta_n / cfg.n,
     )
     results["analytic_verdict"] = report.verdict
 
@@ -473,7 +424,7 @@ def _reproduce_rows() -> list[list]:
     pi = benchmark.prevalence
     for name, published in cat.PUBLISHED_PLANNING.items():
         record = catalog.lookup(name)
-        scr = _invert_record(record)
+        scr = met.invert_detector(record.spec)
         floor = bnd.min_validator_time(record.spec.latency, scr.recall, scr.precision, pi)
         minutes = floor.seconds / 60.0
         rel = abs(minutes - published["min_validator_minutes"]) / published["min_validator_minutes"]
@@ -494,7 +445,7 @@ def _reproduce_rows() -> list[list]:
         ])
 
     for record in catalog.models:
-        scr = _invert_record(record)
+        scr = met.invert_detector(record.spec)
         published_row = cat.PUBLISHED_TIME_LIMITS[record.name]
         tol = 0.10 if record.name.startswith("CodeJIT") else 0.05
         for stat, tau_v in benchmark.as_columns().items():
@@ -525,6 +476,17 @@ def cmd_reproduce(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 
 # --- argument parsing ----------------------------------------------------------
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map usage errors to exit code 3
         raise CliError(EXIT_INVALID, message)
@@ -547,23 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="detector metrics -> screener metrics")
     p.add_argument("--model", required=True, help="catalog model name or a one-model JSON file")
-    p.add_argument("--pi", type=float, help="also report precision at this prevalence")
+    p.add_argument("--pi", type=_finite, help="also report precision at this prevalence")
     _add_catalog(p)
     _add_format(p)
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("bounds", help="planning bounds for one screener")
     p.add_argument("--model", required=True)
-    p.add_argument("--pi", type=float, required=True, help="generator prevalence of good patches")
-    p.add_argument("--tau-v", type=float, help="validator seconds per patch")
-    p.add_argument("--tau-m", type=float, help="screener seconds per patch (default: catalog latency)")
-    p.add_argument("--delta-ratio", type=float, help="extra-patch ratio dn/n for the tight bound")
+    p.add_argument("--pi", type=_finite, required=True, help="generator prevalence of good patches")
+    p.add_argument("--tau-v", type=_finite, help="validator seconds per patch")
+    p.add_argument("--tau-m", type=_finite, help="screener seconds per patch (default: catalog latency)")
+    p.add_argument("--delta-ratio", type=_finite, help="extra-patch ratio dn/n for the tight bound")
     _add_catalog(p)
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("limits", help="max screener time per model x benchmark statistic")
-    p.add_argument("--pi", type=float, help="default: benchmark prevalence")
+    p.add_argument("--pi", type=_finite, help="default: benchmark prevalence")
     p.add_argument("--benchmark", default="builtin", help="'builtin' or a catalog JSON file")
     _add_catalog(p)
     _add_format(p)
@@ -571,22 +533,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo cross-check of the closed forms")
     p.add_argument("--model", help="take screener rates from this catalog model")
-    p.add_argument("--tpr-m", type=float, help="screener recall R_M (overrides --model)")
-    p.add_argument("--fpr-m", type=float, help="screener FPR (overrides --model)")
-    p.add_argument("--pi", type=float, required=True)
+    p.add_argument("--tpr-m", type=_finite, help="screener recall R_M (overrides --model)")
+    p.add_argument("--fpr-m", type=_finite, help="screener FPR (overrides --model)")
+    p.add_argument("--pi", type=_finite, required=True)
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--delta-ratio", type=float, default=0.0)
-    p.add_argument("--tau-v", type=float, required=True)
-    p.add_argument("--tau-m", type=float)
-    p.add_argument("--validator-tpr", type=float, default=1.0)
-    p.add_argument("--validator-fpr", type=float, default=0.0)
+    p.add_argument("--delta-ratio", type=_finite, default=0.0)
+    p.add_argument("--tau-v", type=_finite, required=True)
+    p.add_argument("--tau-m", type=_finite)
+    p.add_argument("--validator-tpr", type=_finite, default=1.0)
+    p.add_argument(
+        "--validator-fpr", type=_finite, default=0.0,
+        help="range-checked and echoed in inputs; no result depends on it",
+    )
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--precision-mode",
-        choices=[sim.PRECISION_AS_PUBLISHED, sim.PRECISION_CONSISTENT],
-        default=sim.PRECISION_AS_PUBLISHED,
+        choices=[PRECISION_AS_PUBLISHED, PRECISION_CONSISTENT],
+        default=PRECISION_AS_PUBLISHED,
     )
     _add_catalog(p)
     _add_format(p)
@@ -611,12 +576,9 @@ def main(argv: list[str] | None = None) -> int:
                 record.warnings.append(str(w.message))
         sys.stdout.write(render(record, args.format))
         return code
-    except CliError as exc:
+    except (CliError, met.MetricsError, cat.CatalogError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except met.MetricsError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+        return getattr(exc, "code", EXIT_INVALID)  # domain and catalog errors are invalid input
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ __all__ = [
     "invert_detector_recall",
     "invert_detector_fpr",
     "precision_at_prevalence",
-    "screener_rates",
+    "invert_detector",
 ]
 
 # Published specs are rounded to 2 decimals, so mutual consistency of
@@ -110,7 +110,7 @@ class RateTriple:
     """Prevalence-free carrier of a classifier's behaviour.
 
     ``tpr`` and ``fpr`` do not change when the population is reweighted;
-    precision does, so it is exposed as a function of prevalence.
+    precision does, so it is left to :func:`precision_at_prevalence`.
     """
 
     tpr: float
@@ -119,9 +119,6 @@ class RateTriple:
     def __post_init__(self) -> None:
         _check_unit("tpr", self.tpr)
         _check_unit("fpr", self.fpr)
-
-    def precision_at(self, pi: float) -> float:
-        return precision_at_prevalence(self.tpr, self.fpr, pi)
 
 
 @dataclass(frozen=True)
@@ -266,15 +263,19 @@ def precision_at_prevalence(tpr: float, fpr: float, pi: float) -> float:
     return pi * tpr / denom
 
 
-def screener_rates(detector: ClassifierSpec) -> RateTriple:
-    """Prevalence-free screener rates of a detector used in reverse.
+def invert_detector(detector: ClassifierSpec) -> ClassifierSpec:
+    """The screener a detector becomes when used in reverse.
 
-    Requires the detector FPR to be present (reconstruct it first with
-    :func:`bayes_fpr` if needed).
+    Precision is the as-published :func:`invert_detector_precision`, recall
+    is 1 - detector FPR, FPR is 1 - detector recall, and the latency carries
+    over.  Requires the detector FPR to be present (reconstruct it first
+    with :func:`bayes_fpr` if needed).
     """
     if detector.fpr is None:
         raise MetricsError("detector fpr is required; complete it via bayes_fpr first")
-    return RateTriple(
-        tpr=invert_detector_recall(detector.fpr),
+    return ClassifierSpec(
+        precision=invert_detector_precision(detector.precision, detector.recall, detector.fpr),
+        recall=invert_detector_recall(detector.fpr),
         fpr=invert_detector_fpr(detector.recall),
+        latency=detector.latency,
     )

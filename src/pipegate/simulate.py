@@ -38,6 +38,9 @@ import numpy as np
 from pipegate.bounds import (
     VERDICT_CONVENIENT,
     VERDICT_NOT_CONVENIENT,
+    augmented_tp,
+    baseline_time,
+    baseline_tp,
 )
 from pipegate.metrics import MetricsError, RateTriple, _check_unit
 
@@ -49,18 +52,14 @@ __all__ = [
     "run_baseline",
     "run_augmented",
     "compare",
+    "expected_outcome",
     "survivor_precision_probe",
     "VERDICT_INCONCLUSIVE",
     "NOTHING_SURVIVES",
-    "PRECISION_AS_PUBLISHED",
-    "PRECISION_CONSISTENT",
 ]
 
 VERDICT_INCONCLUSIVE = "inconclusive"
 NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
-
-PRECISION_AS_PUBLISHED = "as-published"
-PRECISION_CONSISTENT = "prevalence-consistent"
 
 _BASELINE_STREAM = 0
 _AUGMENTED_STREAM = 1
@@ -74,9 +73,9 @@ _CHUNK = 1 << 13
 class SimConfig:
     """Inputs for one simulated scenario.
 
-    ``screener`` carries the screener-side rates (tpr = R_M, fpr = Far_M);
-    the validator's FPR defaults to 0 because the analytic model never uses
-    it, but a leaky test suite can be modelled by raising it.
+    ``screener`` carries the screener-side rates (tpr = R_M, fpr = Far_M).
+    The validator's FPR is range-checked, but no result depends on it: both
+    pipelines count only good items, and charge time per item regardless.
     """
 
     pi: float
@@ -88,7 +87,6 @@ class SimConfig:
     validator: RateTriple = field(default=RateTriple(tpr=1.0, fpr=0.0))
     trials: int = 100
     seed: int = 0
-    precision_mode: str = PRECISION_AS_PUBLISHED
 
     def __post_init__(self) -> None:
         _check_unit("pi", self.pi, lo_open=True, hi_open=True)
@@ -102,8 +100,6 @@ class SimConfig:
             raise MetricsError(f"trials must be >= 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise MetricsError("seed must fit in 64 bits")
-        if self.precision_mode not in (PRECISION_AS_PUBLISHED, PRECISION_CONSISTENT):
-            raise MetricsError(f"unknown precision_mode: {self.precision_mode!r}")
 
     @property
     def n_total(self) -> int:
@@ -155,6 +151,20 @@ class SimOutcome:
     # Screener precision from the same augmented samples; None when the
     # screener passed nothing in every trial.
     survivor_precision: Stat | None
+
+
+def expected_outcome(cfg: SimConfig) -> dict[str, float]:
+    """Closed-form expectation of each ``SimOutcome`` statistic, by field name."""
+    m = cfg.n_total
+    tpr_m, r_v = cfg.screener.tpr, cfg.validator.tpr
+    pass_rate = cfg.pi * tpr_m + (1 - cfg.pi) * cfg.screener.fpr
+    return {
+        "baseline_tp": baseline_tp(cfg.pi, cfg.n, r_v),
+        "augmented_tp": augmented_tp(cfg.pi, m, tpr_m, r_v),
+        "baseline_time": baseline_time(cfg.n, cfg.tau_v),
+        "augmented_time": cfg.tau_m * m + cfg.tau_v * pass_rate * m,
+        "survivors": pass_rate * m,
+    }
 
 
 def _summarize(samples: np.ndarray) -> Stat:

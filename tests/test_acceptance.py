@@ -25,7 +25,7 @@ from pipegate import bounds as bnd
 from pipegate import catalog as cat
 from pipegate import metrics as met
 from pipegate import simulate as sim
-from pipegate.cli import _invert_record, main
+from pipegate.cli import main
 
 PI_PLANNING = 0.38
 SEED = 42
@@ -80,7 +80,7 @@ def test_criterion_2_fixed_model_reproduction():
             ("VulDeePecker", 4.56, 0.0005),
             ("VulDeePecker on ReVeal", 5.07, 0.01),
         ):
-            scr = _invert_record(catalog.lookup(name))
+            scr = met.invert_detector(catalog.lookup(name).spec)
             floor = bnd.min_validator_time(156.0, scr.recall, scr.precision, PI_PLANNING)
             results[f"{name} minutes"] = (floor.seconds / 60, published_min)
             results[f"{name} ratio"] = (bnd.min_extra_ratio(scr.recall), tol_ratio_pp)
@@ -118,7 +118,7 @@ def test_criterion_3_time_limit_grid():
         out_of_tolerance = []
         off_boundary = []
         for record in catalog.models:
-            scr = _invert_record(record)
+            scr = met.invert_detector(record.spec)
             for stat, tau_v in benchmark.as_columns().items():
                 # the published cells are the relaxed bound at P_M = R_M
                 as_published = bnd.max_model_time(
@@ -140,7 +140,7 @@ def test_criterion_3_time_limit_grid():
 
         # the gap: CodeJIT RGCN has P_M < R_M, so its published cells are
         # above the break-even budget and overrun the baseline time
-        rgcn = _invert_record(catalog.lookup("CodeJIT RGCN"))
+        rgcn = met.invert_detector(catalog.lookup("CodeJIT RGCN").spec)
         gap_not_shown = []
         for stat, tau_v in benchmark.as_columns().items():
             published = cat.PUBLISHED_TIME_LIMITS["CodeJIT RGCN"][stat]
@@ -194,7 +194,7 @@ def test_criterion_5_oracle_equivalence():
         mismatches = []
         verdict_checks = 0
         for record in catalog.models:
-            scr = _invert_record(record)
+            scr = met.invert_detector(record.spec)
             tau_m = record.spec.latency if record.spec.latency is not None else 0.0
             # dn strictly above the throughput boundary so the TP margin is
             # resolvable and the verdict comparison is meaningful
@@ -220,6 +220,8 @@ def test_criterion_5_oracle_equivalence():
                 "augmented_time": tau_m * m + tau_v * rate * m,
                 "survivors": rate * m,
             }
+            # the CLI's expectations must be the same as this hand-written reference
+            assert sim.expected_outcome(cfg) == pytest.approx(expected, rel=1e-12)
             for key, value in expected.items():
                 stat = getattr(outcome, key)
                 delta = abs(stat.mean - value)

@@ -18,7 +18,6 @@ from pipegate.bounds import (
     max_model_time,
     min_extra_ratio,
     min_validator_time,
-    ml_survivors,
 )
 from pipegate.metrics import ClassifierSpec, MetricsError, invert_detector_precision
 
@@ -47,13 +46,6 @@ class TestThroughput:
         assert baseline_time(100, 9.17) == pytest.approx(917.0)
         assert baseline_time(0, 123.0) == 0.0
         assert baseline_time(10, 337.83) == pytest.approx(3378.3)
-
-    def test_ml_survivors(self):
-        assert ml_survivors(0.38, 100, 1.0, 1.0) == pytest.approx(38.0)
-        assert ml_survivors(0.38, 100, VDP_R_M, VDP_P_M) == pytest.approx(38.53, abs=0.01)
-        assert ml_survivors(0.5, 10, 0.5, 0.5) == pytest.approx(5.0)
-        with pytest.raises(MetricsError):
-            ml_survivors(0.5, 10, 0.5, 0.0)
 
     def test_augmented_tp(self):
         boundary_n = 100 * (1 + min_extra_ratio(VDP_R_M))

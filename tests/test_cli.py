@@ -237,11 +237,20 @@ class TestSimulate:
         assert surv["se"] == 0.0
 
     def test_invalid_config_exit_3(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--tpr-m", "1.5", "--fpr-m", "0", "--pi", "0.38",
-            "--n", "10", "--tau-v", "1", "--tau-m", "0",
-        )
-        assert code == 3
+        base = ("simulate", "--fpr-m", "0", "--pi", "0.38", "--n", "10", "--tau-v", "1",
+                "--tau-m", "0")
+        for extra in (("--tpr-m", "1.5"), ("--tpr-m", "0.5", "--precision-mode", "whatever")):
+            code, out, err = run_cli(capsys, *base, *extra)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_single_trial_exit_3(self, capsys):
+        # one trial has SE 0, so any sampling noise would read as a regression
+        code, out, err = run_cli(capsys, *self.ARGS[:-4], "--trials", "1")
+        assert (code, out, err) == (3, "", "error: trials must be >= 2, got 1\n")
+        code, _, _ = run_cli(capsys, *self.ARGS[:-4], "--trials", "2")
+        assert code in (0, 1)
 
     def test_missing_latency_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -326,6 +335,28 @@ class TestCliPlumbing:
         schema = json.loads(SCHEMA_PATH.read_text())
         _, doc, _ = run_json(capsys, *argv)
         jsonschema.validate(doc, schema)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "nan"),
+            ("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "inf"),
+            ("limits", "--pi", "-inf"),
+            ("invert", "--model", "VulDeePecker", "--pi", "NaN"),
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--n", "100", "--delta-ratio", "nan"),
+            ("simulate", "--tpr-m", "0.5", "--fpr-m", "0.5", "--pi", "0.4", "--n", "100",
+             "--tau-v", "1", "--tau-m", "1e999", "--trials", "3"),
+            # finite inputs whose expected times overflow to inf
+            ("simulate", "--tpr-m", "0.5", "--fpr-m", "0.5", "--pi", "0.4", "--n", "100",
+             "--tau-v", "1e307", "--tau-m", "1e307", "--trials", "3"),
+        ],
+    )
+    def test_non_finite_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_json_roundtrips(self, capsys):
         _, out, _ = run_cli(capsys, "invert", "--model", "LineVD", "--format", "json")

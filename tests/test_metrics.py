@@ -15,11 +15,11 @@ from pipegate.metrics import (
     RateTriple,
     bayes_fpr,
     counts_from_rates,
+    invert_detector,
     invert_detector_fpr,
     invert_detector_precision,
     invert_detector_recall,
     precision_at_prevalence,
-    screener_rates,
     swap_labels,
 )
 
@@ -177,12 +177,6 @@ class TestSpecTypes:
         with pytest.raises(MetricsError):
             RateTriple(tpr=1.1, fpr=0.0)
 
-    def test_rate_triple_precision_at(self):
-        rt = RateTriple(tpr=0.95, fpr=0.16)
-        assert rt.precision_at(0.38) == pytest.approx(
-            precision_at_prevalence(0.95, 0.16, 0.38)
-        )
-
     def test_classifier_spec_ranges(self):
         with pytest.raises(MetricsError):
             ClassifierSpec(precision=1.3, recall=0.5)
@@ -198,14 +192,17 @@ class TestSpecTypes:
         assert not [w for w in recwarn if w.category is InconsistentSpecWarning]
 
     def test_screener_rates(self):
-        spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05)
-        rt = screener_rates(spec)
-        assert rt.tpr == pytest.approx(0.95)
-        assert rt.fpr == pytest.approx(0.16)
+        spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, latency=156.0)
+        scr = invert_detector(spec)
+        assert scr.precision == pytest.approx(0.9371, abs=5e-5)
+        assert scr.precision == invert_detector_precision(0.87, 0.84, 0.05)
+        assert scr.recall == pytest.approx(0.95)
+        assert scr.fpr == pytest.approx(0.16)
+        assert scr.latency == 156.0
 
     def test_screener_rates_requires_fpr(self):
         with pytest.raises(MetricsError):
-            screener_rates(ClassifierSpec(precision=0.87, recall=0.84))
+            invert_detector(ClassifierSpec(precision=0.87, recall=0.84))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(MetricsError):

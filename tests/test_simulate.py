@@ -243,8 +243,6 @@ class TestConfigValidation:
             make_config(trials=0)
         with pytest.raises(MetricsError):
             make_config(seed=-1)
-        with pytest.raises(MetricsError):
-            make_config(precision_mode="whatever")
 
     def test_config_is_frozen(self):
         cfg = make_config()
