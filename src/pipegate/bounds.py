@@ -31,7 +31,6 @@ from pipegate.metrics import ClassifierSpec, MetricsError, _check_unit
 __all__ = [
     "PipelineConfig",
     "ModelTimeBudget",
-    "ValidatorFloor",
     "BoundsReport",
     "VERDICT_CONVENIENT",
     "VERDICT_NOT_CONVENIENT",
@@ -75,6 +74,8 @@ class PipelineConfig:
             raise MetricsError("validator latency must be present and > 0")
         if self.validator.recall <= 0:
             raise MetricsError("validator recall must be > 0")
+        if self.screener.recall <= 0:
+            raise MetricsError(f"r_m must be in (0, 1], got {self.screener.recall}")
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,7 @@ class ModelTimeBudget:
 
 
 @dataclass(frozen=True)
-class ValidatorFloor:
-    """Slowest validator a given screener still pays off against."""
-
-    seconds: float | None
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class BoundsReport:
-    min_extra_ratio: float
-    max_model_time_tight: float | None
-    max_model_time_relaxed: float
-    min_validator_time: float | None
     verdict: str
     binding: str | None
     baseline_tp: float
@@ -190,21 +179,22 @@ def max_model_time(
     return ModelTimeBudget(relaxed=relaxed, tight=tight, feasible=p_m > pi)
 
 
-def min_validator_time(tau_m: float, r_m: float, p_m: float, pi: float) -> ValidatorFloor:
+def min_validator_time(tau_m: float, r_m: float, p_m: float, pi: float) -> float | None:
     """Slowest validator for which a screener with latency tau_m pays off.
 
-    tau_M / ((R_M/P_M) * (P_M - pi)); infeasible when P_M <= pi.
+    tau_M / ((R_M/P_M) * (P_M - pi)), 0 for a free screener; None when
+    P_M <= pi (no validator is slow enough).
     """
-    if tau_m <= 0:
-        raise MetricsError(f"tau_m must be > 0, got {tau_m}")
+    if tau_m < 0:
+        raise MetricsError(f"tau_m must be >= 0, got {tau_m}")
     if not (0 < r_m <= 1):
         raise MetricsError(f"r_m must be in (0, 1], got {r_m}")
     if p_m <= 0 or p_m > 1:
         raise MetricsError(f"p_m must be in (0, 1], got {p_m}")
     _check_unit("pi", pi, lo_open=True, hi_open=True)
     if p_m <= pi:
-        return ValidatorFloor(seconds=None, feasible=False)
-    return ValidatorFloor(seconds=tau_m / ((r_m / p_m) * (p_m - pi)), feasible=True)
+        return None
+    return tau_m / ((r_m / p_m) * (p_m - pi))
 
 
 def _leq(a: float, b: float) -> tuple[bool, bool]:
@@ -250,20 +240,7 @@ def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
         if not time_ok:
             failed.append("time")
         binding = "+".join(failed)
-
-    budget = max_model_time(
-        config.validator.latency, scr.recall, scr.precision, config.pi, dn_ratio
-    )
-    floor = (
-        min_validator_time(scr.latency, scr.recall, scr.precision, config.pi)
-        if scr.latency > 0
-        else ValidatorFloor(seconds=0.0, feasible=True)
-    )
     return BoundsReport(
-        min_extra_ratio=min_extra_ratio(scr.recall),
-        max_model_time_tight=budget.tight,
-        max_model_time_relaxed=budget.relaxed,
-        min_validator_time=floor.seconds,
         verdict=verdict,
         binding=binding,
         baseline_tp=base_tp,

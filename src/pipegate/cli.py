@@ -252,7 +252,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         )
     if tau_m is not None:
         floor = bnd.min_validator_time(tau_m, scr.recall, scr.precision, pi)
-        out.results["min_validator_time_seconds"] = _tagged(floor.seconds, "derived")
+        out.results["min_validator_time_seconds"] = _tagged(floor, "derived")
     if tau_v is not None:
         budget = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi, args.delta_ratio)
         out.results["max_model_time_relaxed_seconds"] = _tagged(budget.relaxed, "derived")
@@ -323,6 +323,9 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         raise CliError(EXIT_INVALID, "screener latency unknown: pass --tau-m")
     if args.trials < 2:  # one trial has no standard error to check against
         raise CliError(EXIT_INVALID, f"trials must be >= 2, got {args.trials}")
+    for name in ("n", "trials"):  # numpy cannot size or index an array that long
+        if getattr(args, name) >= 2**63:
+            raise CliError(EXIT_INVALID, f"{name} must be below 2**63")
     delta_n = int(round(args.n * args.delta_ratio))
     cfg = sim.SimConfig(
         pi=args.pi,
@@ -425,8 +428,7 @@ def _reproduce_rows() -> list[list]:
     for name, published in cat.PUBLISHED_PLANNING.items():
         record = catalog.lookup(name)
         scr = met.invert_detector(record.spec)
-        floor = bnd.min_validator_time(record.spec.latency, scr.recall, scr.precision, pi)
-        minutes = floor.seconds / 60.0
+        minutes = bnd.min_validator_time(record.spec.latency, scr.recall, scr.precision, pi) / 60.0
         rel = abs(minutes - published["min_validator_minutes"]) / published["min_validator_minutes"]
         rows.append([
             "fixed_model", f"{name} min validator (min)",

@@ -53,7 +53,6 @@ __all__ = [
     "run_augmented",
     "compare",
     "expected_outcome",
-    "survivor_precision_probe",
     "VERDICT_INCONCLUSIVE",
     "NOTHING_SURVIVES",
 ]
@@ -247,22 +246,23 @@ class _Worker:
         return tp
 
 
-def _baseline_trial(cfg: SimConfig, trial: int, w: _Worker) -> tuple[float, float]:
-    w.start(cfg.seed, trial, _BASELINE_STREAM)
-    good = w.labels(cfg.pi, cfg.n)
-    tp = w.true_positives(cfg.validator.tpr, good)
-    return float(tp), cfg.n * cfg.tau_v
+def _trial(
+    cfg: SimConfig, trial: int, worker: _Worker, stream: int
+) -> tuple[float, float, float, float]:
+    """One trial's (true positives, time, survivors, good survivors).
 
-
-def _augmented_trial(cfg: SimConfig, trial: int, w: _Worker) -> tuple[float, float, float, float]:
-    w.start(cfg.seed, trial, _AUGMENTED_STREAM)
-    m = cfg.n_total
-    good = w.labels(cfg.pi, m)
-    survivors = w.screen(cfg.screener, good)
+    The baseline stream skips the screener pass: all n items reach the
+    validator, and it charges no screener time.
+    """
+    worker.start(cfg.seed, trial, stream)
+    augmented = stream == _AUGMENTED_STREAM
+    m = cfg.n_total if augmented else cfg.n
+    good = worker.labels(cfg.pi, m)
+    survivors = worker.screen(cfg.screener, good) if augmented else m
     good_survivors = int(np.count_nonzero(good))
-    tp = w.true_positives(cfg.validator.tpr, good)
-    time = cfg.tau_m * m + cfg.tau_v * survivors
-    return float(tp), time, float(survivors), float(good_survivors)
+    tp = worker.true_positives(cfg.validator.tpr, good)
+    tau_m = cfg.tau_m if augmented else 0.0
+    return float(tp), tau_m * m + cfg.tau_v * survivors, float(survivors), float(good_survivors)
 
 
 def _usable_cpus() -> int:
@@ -272,8 +272,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_trials(cfg: SimConfig, fn, width: int, workers: int) -> np.ndarray:
-    """Run one function per trial into a (width, trials) array.
+def _map_trials(cfg: SimConfig, stream: int, workers: int) -> np.ndarray:
+    """Run every trial of one pipeline's stream into a (4, trials) array.
 
     Trials are split into at most ``workers`` contiguous blocks, one thread
     each, capped at the trial count and at the CPUs this process may use.
@@ -281,14 +281,14 @@ def _map_trials(cfg: SimConfig, fn, width: int, workers: int) -> np.ndarray:
     worker count or completion order.
     """
     trials = cfg.trials
-    out = np.empty((width, trials), dtype=np.float64)
+    out = np.empty((4, trials), dtype=np.float64)
     threads = max(1, min(workers, trials, _usable_cpus()))
     blocks = [range(trials * i // threads, trials * (i + 1) // threads) for i in range(threads)]
 
     def work(block: range) -> None:
         worker = _Worker(cfg.n_total)
         for t in block:
-            out[:, t] = fn(cfg, t, worker)
+            out[:, t] = _trial(cfg, t, worker, stream)
 
     if threads == 1:
         work(blocks[0])
@@ -300,13 +300,13 @@ def _map_trials(cfg: SimConfig, fn, width: int, workers: int) -> np.ndarray:
 
 def run_baseline(cfg: SimConfig, workers: int = 1) -> PipelineSamples:
     """Validator-only pipeline over n patches, one row per trial."""
-    res = _map_trials(cfg, _baseline_trial, 2, workers)
+    res = _map_trials(cfg, _BASELINE_STREAM, workers)
     return PipelineSamples(tp=res[0], time=res[1])
 
 
 def run_augmented(cfg: SimConfig, workers: int = 1) -> PipelineSamples:
     """Screener-then-validator pipeline over n + delta_n patches."""
-    res = _map_trials(cfg, _augmented_trial, 4, workers)
+    res = _map_trials(cfg, _AUGMENTED_STREAM, workers)
     return PipelineSamples(tp=res[0], time=res[1], survivors=res[2], good_survivors=res[3])
 
 
@@ -347,27 +347,5 @@ def compare(cfg: SimConfig, workers: int = 1) -> SimOutcome:
 
 def _survivor_precision(aug: PipelineSamples) -> Stat | None:
     """Mean and SE of good survivors / survivors over the trials with survivors."""
-    assert aug.survivors is not None and aug.good_survivors is not None
-    with np.errstate(invalid="ignore"):
-        per_trial = np.divide(
-            aug.good_survivors,
-            aug.survivors,
-            out=np.full_like(aug.survivors, np.nan),
-            where=aug.survivors > 0,
-        )
-    valid = per_trial[~np.isnan(per_trial)]
-    return _summarize(valid) if valid.size else None
-
-
-def survivor_precision_probe(cfg: SimConfig, workers: int = 1) -> Stat:
-    """Empirical screener precision at the generator prevalence.
-
-    Quantifies the gap between the as-published screener precision and the
-    prevalence-consistent value pi*tpr / (pi*tpr + (1-pi)*fpr): the probe
-    converges on the latter.  ``compare`` reports the same statistic as
-    ``SimOutcome.survivor_precision`` without a second augmented run.
-    """
-    stat = _survivor_precision(run_augmented(cfg, workers=workers))
-    if stat is None:
-        raise MetricsError(NOTHING_SURVIVES)
-    return stat
+    some = aug.survivors > 0
+    return _summarize(aug.good_survivors[some] / aug.survivors[some]) if some.any() else None

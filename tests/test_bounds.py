@@ -64,7 +64,7 @@ class TestThroughput:
             expect, rel=1e-12
         )
         # at the true break-even validator time the pipelines tie exactly
-        floor = min_validator_time(156, VDP_R_M, VDP_P_M, 0.38).seconds
+        floor = min_validator_time(156, VDP_R_M, VDP_P_M, 0.38)
         n_total = 100 / VDP_R_M
         assert augmented_time(0.38, n_total, 156, floor, VDP_R_M, VDP_P_M) == pytest.approx(
             baseline_time(100, floor), rel=1e-12
@@ -105,21 +105,19 @@ class TestBoundsFormulas:
 
     def test_min_validator_time_fixed_model(self):
         floor = min_validator_time(156, VDP_R_M, VDP_P_M, 0.38)
-        assert floor.feasible
-        assert floor.seconds / 60 == pytest.approx(4.56, rel=0.02)
+        assert floor / 60 == pytest.approx(4.56, rel=0.02)
         p_m = invert_detector_precision(0.11, 0.14, 0.11)
         floor = min_validator_time(156, 0.89, p_m, 0.38)
-        assert floor.seconds / 60 == pytest.approx(5.07, rel=0.02)
+        assert floor / 60 == pytest.approx(5.07, rel=0.02)
 
     def test_min_validator_time_infeasible(self):
-        floor = min_validator_time(10.0, 0.9, 0.3, 0.38)
-        assert not floor.feasible
-        assert floor.seconds is None
+        assert min_validator_time(10.0, 0.9, 0.3, 0.38) is None
 
     def test_free_screener_floor_tends_to_zero(self):
-        assert min_validator_time(1e-12, 0.95, 0.9, 0.38).seconds == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert min_validator_time(1e-12, 0.95, 0.9, 0.38) == pytest.approx(0.0, abs=1e-9)
+        assert min_validator_time(0.0, 0.95, 0.9, 0.38) == 0.0
+        with pytest.raises(MetricsError, match="tau_m must be >= 0"):
+            min_validator_time(-1.0, 0.95, 0.9, 0.38)
 
     @given(st.floats(min_value=0.05, max_value=0.999))
     def test_min_extra_ratio_strictly_decreasing(self, r_m):
@@ -175,6 +173,10 @@ class TestEvaluate:
         config = make_config(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, budget.tight)
         report = evaluate(config, dn)
         assert report.verdict == VERDICT_BOUNDARY
+
+    def test_screener_passing_no_good_patch_rejected(self):
+        with pytest.raises(MetricsError, match=r"r_m must be in \(0, 1\], got 0.0"):
+            make_config(0.38, 100, 1.0, 300.0, VDP_P_M, 0.0, 10.0)
 
     def test_missing_screener_latency(self):
         config = make_config(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, None)

@@ -92,6 +92,15 @@ class TestBounds:
         assert doc["results"]["max_model_time_relaxed_seconds"]["value"] > 156
         assert doc["results"]["verdict"] == "convenient"
 
+    def test_free_screener(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "bounds", "--model", "VulDeePecker", "--pi", "0.38",
+            "--tau-m", "0", "--tau-v", "600",
+        )
+        assert code == 0
+        assert doc["results"]["min_validator_time_seconds"]["value"] == 0.0
+        assert doc["results"]["verdict"] == "convenient"
+
     def test_no_headroom_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--model", "VulDeePecker", "--pi", "0.99", "--tau-m", "156"
@@ -205,7 +214,7 @@ class TestSimulate:
         code, doc, _ = run_json(capsys, *self.ARGS, "--workers", "2")
         assert code == 0
         assert len(configs) == 1
-        probe = sim.survivor_precision_probe(configs[0])
+        probe = sim.compare(configs[0]).survivor_precision
         precision = doc["results"]["screener_precision"]
         assert precision["empirical_mean"] == probe.mean
         assert precision["empirical_se"] == probe.se
@@ -251,6 +260,13 @@ class TestSimulate:
         assert (code, out, err) == (3, "", "error: trials must be >= 2, got 1\n")
         code, _, _ = run_cli(capsys, *self.ARGS[:-4], "--trials", "2")
         assert code in (0, 1)
+
+    def test_screener_recall_zero_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", "VulDeePecker", "--tpr-m", "0", "--pi", "0.38",
+            "--n", "1000", "--tau-v", "600", "--trials", "5",
+        )
+        assert (code, out, err) == (3, "", "error: r_m must be in (0, 1], got 0.0\n")
 
     def test_missing_latency_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -350,6 +366,11 @@ class TestCliPlumbing:
             # finite inputs whose expected times overflow to inf
             ("simulate", "--tpr-m", "0.5", "--fpr-m", "0.5", "--pi", "0.4", "--n", "100",
              "--tau-v", "1e307", "--tau-m", "1e307", "--trials", "3"),
+            # counts at or past numpy's 2**63 index limit
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--n", "1" + "0" * 400),
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--trials", "1" + "0" * 400),
         ],
     )
     def test_non_finite_exit_3(self, capsys, argv):
@@ -357,6 +378,30 @@ class TestCliPlumbing:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # sha256 of the whole `--format json` stdout of the closed-form commands,
+    # with the exit code: any change to a figure, key, warning or byte fails
+    SNAPSHOT = [
+        (("invert", "--model", "VulDeePecker", "--pi", "0.38"), 0,
+         "368df6f6da1372bd27de98dabb162dc22568299c95e9390112a7cdf15e452abe"),
+        (("invert", "--model", "LineVul"), 0,
+         "dfea5bddd659ba54d1947d2193bbc87c51b8c56f715caf07ce919f5b507098d9"),
+        (("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+          "--delta-ratio", "0.06"), 0,
+         "73a9210f99ed20c9e2ee9ee3854dfb78b6e5777c83cec7fea03751bf063f89fd"),
+        # the catalog latency is a published lower bound: carries a warning
+        (("bounds", "--model", "IVDetect on ReVeal", "--pi", "0.38", "--tau-v", "27.04"), 0,
+         "41155128bf90a7d0983f5104b731b980450ba629a61c39f1157337766ea1a753"),
+        (("limits", "--pi", "0.38"), 0,
+         "48b5129aa39abc5cda10b3f8f1bf6bc0908488d0d5a17b4a888dd368ff796bff"),
+        (("reproduce",), 1,
+         "b0018043b0ccc11554f0f106a35e2d824b98de69af8572933dbb567f94fbae21"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,digest", SNAPSHOT)
+    def test_closed_form_json_snapshot(self, capsys, argv, code, digest):
+        got, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
     def test_json_roundtrips(self, capsys):
         _, out, _ = run_cli(capsys, "invert", "--model", "LineVD", "--format", "json")

@@ -14,7 +14,6 @@ from pipegate.simulate import (
     compare,
     run_augmented,
     run_baseline,
-    survivor_precision_probe,
 )
 
 VDP_RATES = RateTriple(tpr=0.95, fpr=0.16)
@@ -43,8 +42,8 @@ class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
         cfg = make_config()
         assert compare(cfg, workers=1) == compare(cfg, workers=4)
-        probe1 = survivor_precision_probe(cfg, workers=1)
-        probe8 = survivor_precision_probe(cfg, workers=8)
+        probe1 = compare(cfg, workers=1).survivor_precision
+        probe8 = compare(cfg, workers=8).survivor_precision
         assert probe1 == probe8
 
     def test_different_seeds_differ(self):
@@ -208,26 +207,24 @@ class TestCompare:
 class TestSurvivorPrecisionProbe:
     def test_matches_prevalence_consistent_precision(self):
         cfg = make_config(n=100_000, trials=100)
-        stat = survivor_precision_probe(cfg)
+        stat = compare(cfg).survivor_precision
         expected = precision_at_prevalence(0.95, 0.16, 0.38)
         assert expected == pytest.approx(0.784, abs=5e-4)
         assert abs(stat.mean - expected) <= 3 * stat.se
 
     def test_zero_fpr_gives_perfect_precision(self):
         cfg = make_config(screener=RateTriple(tpr=0.9, fpr=0.0))
-        stat = survivor_precision_probe(cfg)
+        stat = compare(cfg).survivor_precision
         assert stat.mean == 1.0
         assert stat.se == 0.0
 
     def test_nothing_survives(self):
         cfg = make_config(screener=RateTriple(tpr=0.0, fpr=0.0), trials=3)
         assert compare(cfg).survivor_precision is None
-        with pytest.raises(MetricsError, match="passed nothing"):
-            survivor_precision_probe(cfg)
 
     def test_uninformative_screener_precision_equals_prevalence(self):
         cfg = make_config(n=100_000, screener=RateTriple(tpr=0.5, fpr=0.5), trials=100)
-        stat = survivor_precision_probe(cfg)
+        stat = compare(cfg).survivor_precision
         assert abs(stat.mean - 0.38) <= 3 * stat.se
 
 
