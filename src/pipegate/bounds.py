@@ -80,11 +80,10 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ModelTimeBudget:
-    """Maximum screener latency; infeasible when P_M <= pi (no headroom)."""
+    """Maximum screener latency; relaxed <= 0 when P_M <= pi (no headroom)."""
 
     relaxed: float
     tight: float | None
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,15 @@ class BoundsReport:
     augmented_tp: float
     baseline_time: float
     augmented_time: float
+
+
+def _check_screener(r_m: float, p_m: float, pi: float) -> None:
+    """Range checks on the screener recall, its precision and the prevalence."""
+    if not (0 < r_m <= 1):
+        raise MetricsError(f"r_m must be in (0, 1], got {r_m}")
+    if not (0 < p_m <= 1):
+        raise MetricsError(f"p_m must be in (0, 1], got {p_m}")
+    _check_unit("pi", pi, lo_open=True, hi_open=True)
 
 
 def baseline_tp(pi: float, n: float, r_v: float) -> float:
@@ -124,10 +132,7 @@ def augmented_time(
     """
     if tau_m < 0 or tau_v < 0:
         raise MetricsError("latencies must be >= 0")
-    if p_m <= 0 or p_m > 1:
-        raise MetricsError(f"p_m must be in (0, 1], got {p_m}")
-    _check_unit("pi", pi, lo_open=True, hi_open=True)
-    _check_unit("r_m", r_m)
+    _check_screener(r_m, p_m, pi)
     if n_total < 0:
         raise MetricsError(f"n_total must be >= 0, got {n_total}")
     return (tau_m + tau_v * (r_m / p_m) * pi) * n_total
@@ -161,22 +166,18 @@ def max_model_time(
 
     relaxed = tau_V * (R_M/P_M) * (P_M - pi); with a chosen dn_ratio the
     tight form tau_V * (1/(1+dn_ratio) - (R_M/P_M)*pi) applies instead.
-    Infeasible (not an error) when P_M <= pi.
+    No headroom (not an error) when P_M <= pi: relaxed is then <= 0.
     """
     if tau_v < 0:
         raise MetricsError(f"tau_v must be >= 0, got {tau_v}")
-    if not (0 < r_m <= 1):
-        raise MetricsError(f"r_m must be in (0, 1], got {r_m}")
-    if p_m <= 0 or p_m > 1:
-        raise MetricsError(f"p_m must be in (0, 1], got {p_m}")
-    _check_unit("pi", pi, lo_open=True, hi_open=True)
+    _check_screener(r_m, p_m, pi)
     if dn_ratio is not None and dn_ratio < 0:
         raise MetricsError(f"dn_ratio must be >= 0, got {dn_ratio}")
     relaxed = tau_v * (r_m / p_m) * (p_m - pi)
     tight = None
     if dn_ratio is not None:
         tight = tau_v * (1.0 / (1.0 + dn_ratio) - (r_m / p_m) * pi)
-    return ModelTimeBudget(relaxed=relaxed, tight=tight, feasible=p_m > pi)
+    return ModelTimeBudget(relaxed=relaxed, tight=tight)
 
 
 def min_validator_time(tau_m: float, r_m: float, p_m: float, pi: float) -> float | None:
@@ -187,11 +188,7 @@ def min_validator_time(tau_m: float, r_m: float, p_m: float, pi: float) -> float
     """
     if tau_m < 0:
         raise MetricsError(f"tau_m must be >= 0, got {tau_m}")
-    if not (0 < r_m <= 1):
-        raise MetricsError(f"r_m must be in (0, 1], got {r_m}")
-    if p_m <= 0 or p_m > 1:
-        raise MetricsError(f"p_m must be in (0, 1], got {p_m}")
-    _check_unit("pi", pi, lo_open=True, hi_open=True)
+    _check_screener(r_m, p_m, pi)
     if p_m <= pi:
         return None
     return tau_m / ((r_m / p_m) * (p_m - pi))

@@ -37,7 +37,6 @@ __all__ = [
     "builtin_catalog",
     "builtin_benchmark",
     "load_catalog",
-    "serialize_catalog",
     "PUBLISHED_TIME_LIMITS",
     "PUBLISHED_PLANNING",
 ]
@@ -335,31 +334,3 @@ def load_catalog(path: str | Path) -> Catalog:
     benchmark = _parse_benchmark(doc["benchmark"]) if "benchmark" in doc else None
     return Catalog(models=models, benchmark=benchmark)
 
-
-def serialize_catalog(catalog: Catalog) -> dict:
-    """Dump a catalog back to the spec-file schema; round-trips via load."""
-    models = []
-    for rec in catalog.models:
-        obj: dict = {
-            "name": rec.name,
-            "source": rec.source,
-            "precision": rec.spec.precision,
-            "recall": rec.spec.recall,
-            "prevalence": rec.spec.eval_prevalence,
-        }
-        if rec.fpr_provenance == FPR_REPORTED and rec.spec.fpr is not None:
-            obj["fpr"] = rec.spec.fpr
-        if rec.spec.latency is not None:
-            obj["latency_seconds"] = rec.spec.latency
-            obj["latency_kind"] = (
-                "lower_bound" if rec.latency_provenance == LATENCY_LOWER_BOUND else "reported"
-            )
-        models.append(obj)
-    doc: dict = {"models": models}
-    if catalog.benchmark is not None:
-        bm = catalog.benchmark
-        doc["benchmark"] = {
-            "q25": bm.q25, "median": bm.median, "q75": bm.q75,
-            "mean": bm.mean, "prevalence": bm.prevalence,
-        }
-    return doc

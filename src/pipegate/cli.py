@@ -289,7 +289,7 @@ def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         cells = []
         for stat, tau_v in benchmark.as_columns().items():
             budget = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi)
-            cells.append(budget.relaxed if budget.feasible else 0.0)
+            cells.append(max(0.0, budget.relaxed))  # 0.0 first: an underflowed -0.0 prints as 0.0
         rows.append([record.name, *cells])
     out = OutputRecord(
         command="limits",
@@ -326,7 +326,12 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
     for name in ("n", "trials"):  # numpy cannot size or index an array that long
         if getattr(args, name) >= 2**63:
             raise CliError(EXIT_INVALID, f"{name} must be below 2**63")
-    delta_n = int(round(args.n * args.delta_ratio))
+    extra = args.n * args.delta_ratio if args.n > 0 else 0.0  # SimConfig rejects n <= 0
+    if not math.isfinite(extra):
+        raise CliError(EXIT_INVALID, "n * delta_ratio is not a finite number")
+    delta_n = round(extra)
+    if args.n + delta_n >= 2**63:
+        raise CliError(EXIT_INVALID, "n + delta_n must be below 2**63")
     cfg = sim.SimConfig(
         pi=args.pi,
         n=args.n,

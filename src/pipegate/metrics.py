@@ -11,9 +11,6 @@ and the three rates derived from them.  Two less common pieces:
   the same model used in reverse as a good-patch *screener* (positive class =
   good patch).  Flipping the labels swaps TP with TN and FP with FN, and the
   screener metrics follow from re-reading the swapped counts.
-
-Counts are real-valued throughout: they represent expected counts, not
-integer tallies.
 """
 
 from __future__ import annotations
@@ -23,13 +20,10 @@ from dataclasses import dataclass
 
 __all__ = [
     "MetricsError",
-    "ConfusionCounts",
     "ClassifierSpec",
     "RateTriple",
     "EPS_CONSISTENCY",
     "bayes_fpr",
-    "counts_from_rates",
-    "swap_labels",
     "invert_detector_precision",
     "invert_detector_recall",
     "invert_detector_fpr",
@@ -57,52 +51,6 @@ def _check_unit(name: str, value: float, lo_open: bool = False, hi_open: bool = 
         raise MetricsError(f"{name} must be > 0, got {value}")
     if hi_open and value == 1.0:
         raise MetricsError(f"{name} must be < 1, got {value}")
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Expected TP/FP/FN/TN counts; fractional values are allowed."""
-
-    tp: float
-    fp: float
-    fn: float
-    tn: float
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "fp", "fn", "tn"):
-            if getattr(self, name) < 0:
-                raise MetricsError(f"{name} must be non-negative, got {getattr(self, name)}")
-
-    @property
-    def total(self) -> float:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def precision(self) -> float:
-        denom = self.tp + self.fp
-        if denom == 0:
-            raise MetricsError("precision undefined: no predicted positives")
-        return self.tp / denom
-
-    @property
-    def recall(self) -> float:
-        denom = self.tp + self.fn
-        if denom == 0:
-            raise MetricsError("recall undefined: no actual positives")
-        return self.tp / denom
-
-    @property
-    def fpr(self) -> float:
-        denom = self.fp + self.tn
-        if denom == 0:
-            raise MetricsError("fpr undefined: no actual negatives")
-        return self.fp / denom
-
-    @property
-    def prevalence(self) -> float:
-        if self.total == 0:
-            raise MetricsError("prevalence undefined: empty counts")
-        return (self.tp + self.fn) / self.total
 
 
 @dataclass(frozen=True)
@@ -186,31 +134,6 @@ def bayes_fpr(precision: float, recall: float, pi: float) -> float:
     if precision == 1.0:
         return 0.0
     return pi * recall * (1 - precision) / (precision * (1 - pi))
-
-
-def counts_from_rates(tpr: float, fpr: float, pi: float, total: float) -> ConfusionCounts:
-    """Expected confusion counts of a classifier over ``total`` items."""
-    _check_unit("tpr", tpr)
-    _check_unit("fpr", fpr)
-    _check_unit("pi", pi, lo_open=True, hi_open=True)
-    if total <= 0:
-        raise MetricsError(f"total must be > 0, got {total}")
-    pos = pi * total
-    neg = (1 - pi) * total
-    return ConfusionCounts(
-        tp=tpr * pos,
-        fn=(1 - tpr) * pos,
-        fp=fpr * neg,
-        tn=(1 - fpr) * neg,
-    )
-
-
-def swap_labels(c: ConfusionCounts) -> ConfusionCounts:
-    """Relabel the positive class as negative: TP<->TN and FP<->FN.
-
-    Involution: applying it twice returns the original counts.
-    """
-    return ConfusionCounts(tp=c.tn, fp=c.fn, fn=c.fp, tn=c.tp)
 
 
 def invert_detector_precision(p_mvd: float, r_mvd: float, far_mvd: float) -> float:

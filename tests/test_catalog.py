@@ -11,6 +11,7 @@ from pipegate.catalog import (
     LATENCY_REPORTED,
     LATENCY_UNKNOWN,
     BenchmarkTimes,
+    Catalog,
     CatalogParseError,
     CatalogValidationError,
     DuplicateModelError,
@@ -18,7 +19,6 @@ from pipegate.catalog import (
     builtin_benchmark,
     builtin_catalog,
     load_catalog,
-    serialize_catalog,
 )
 from pipegate.metrics import bayes_fpr
 
@@ -86,6 +86,35 @@ def write_doc(tmp_path, doc, name="catalog.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def serialize_catalog(catalog: Catalog) -> dict:
+    """Dump a catalog back to the spec-file schema; round-trips via load."""
+    models = []
+    for rec in catalog.models:
+        obj: dict = {
+            "name": rec.name,
+            "source": rec.source,
+            "precision": rec.spec.precision,
+            "recall": rec.spec.recall,
+            "prevalence": rec.spec.eval_prevalence,
+        }
+        if rec.fpr_provenance == FPR_REPORTED and rec.spec.fpr is not None:
+            obj["fpr"] = rec.spec.fpr
+        if rec.spec.latency is not None:
+            obj["latency_seconds"] = rec.spec.latency
+            obj["latency_kind"] = (
+                "lower_bound" if rec.latency_provenance == LATENCY_LOWER_BOUND else "reported"
+            )
+        models.append(obj)
+    doc: dict = {"models": models}
+    if catalog.benchmark is not None:
+        bm = catalog.benchmark
+        doc["benchmark"] = {
+            "q25": bm.q25, "median": bm.median, "q75": bm.q75,
+            "mean": bm.mean, "prevalence": bm.prevalence,
+        }
+    return doc
 
 
 class TestLoadCatalog:

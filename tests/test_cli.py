@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,17 @@ class TestLimits:
         assert code == 0
         for row in doc["table"]["rows"]:
             assert all(cell == 0.0 for cell in row[1:])
+
+    def test_underflowed_budget_clamps_to_plus_zero(self, capsys, tmp_path):
+        # the smallest subnormal tau_V times VulDeePecker's headroom at
+        # pi = 0.938 (P_M 0.9371) underflows to -0.0, which must print as 0.0
+        doc = {"benchmark": {"q25": 5e-324, "median": 1, "q75": 2, "mean": 3, "prevalence": 0.38}}
+        path = tmp_path / "bm.json"
+        path.write_text(json.dumps(doc))
+        code, parsed, _ = run_json(capsys, "limits", "--pi", "0.938", "--benchmark", str(path))
+        assert code == 0
+        rows = {row[0]: row[1:] for row in parsed["table"]["rows"]}
+        assert math.copysign(1.0, rows["VulDeePecker"][0]) == 1.0
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "limits", "--pi", "0.38", "--format", "csv")
@@ -371,6 +383,18 @@ class TestCliPlumbing:
              "--n", "1" + "0" * 400),
             ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
              "--trials", "1" + "0" * 400),
+            # n + delta_n at or past 2**63, or n * delta_ratio not finite
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--n", "1", "--delta-ratio", "1e300"),
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--n", "9223372036854775807", "--delta-ratio", "1"),
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--n", "10", "--delta-ratio", "1e308"),
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--n", "10", "--delta-ratio=-1e308"),
+            # too negative for a float: rejected as n <= 0, not multiplied
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+             "--n", "-1" + "0" * 400),
         ],
     )
     def test_non_finite_exit_3(self, capsys, argv):

