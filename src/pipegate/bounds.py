@@ -24,6 +24,7 @@ All counts are expectations (real-valued); rounding is presentation-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from pipegate.metrics import ClassifierSpec, MetricsError, _check_unit
@@ -206,6 +207,8 @@ def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
     Verdict is ``convenient`` iff throughput does not drop and time does not
     grow, with at least one strict; ties within 1e-9 relative on both give
     ``boundary``.  ``binding`` names the violated (or tying) constraint.
+    Finite inputs whose figures overflow raise: two infinite times tie, so
+    any verdict drawn from them would be false.
     """
     if dn_ratio < 0:
         raise MetricsError(f"dn_ratio must be >= 0, got {dn_ratio}")
@@ -219,6 +222,8 @@ def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
     aug_time = augmented_time(
         config.pi, n_total, scr.latency, config.validator.latency, scr.recall, scr.precision
     )
+    if not all(math.isfinite(x) for x in (base_tp, aug_tp, base_time, aug_time)):
+        raise MetricsError("a pipeline figure is not a finite number; inputs too large")
 
     tp_ok, tp_strict = _leq(base_tp, aug_tp)
     time_ok, time_strict = _leq(aug_time, base_time)

@@ -13,7 +13,10 @@ in which order.  The generator identity is part of the external contract;
 changing it invalidates golden outputs.  From its one stream, an augmented
 trial over m = n + delta_n items draws m label variates, then m screener
 variates, then m validator variates; a baseline trial draws n labels, then n
-validator variates.  Each run is drawn in chunks of 8192 doubles (64 KiB)
+validator variates.  At validator TPR 1 no validator variates are drawn:
+``u < 1.0`` holds for every u in [0, 1), and they are the last draws of their
+stream, so every good item that reaches the validator counts without them
+and no other draw moves.  Each run is drawn in chunks of 8192 doubles (64 KiB)
 into one reused buffer.  Consecutive draws continue the Philox counter where
 the last stopped, so the chunks hold exactly the variates that one
 ``random(m)`` call would return.
@@ -29,6 +32,7 @@ only turn rejections into passes, never the reverse (monotone coupling).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,6 +57,7 @@ __all__ = [
     "run_augmented",
     "compare",
     "expected_outcome",
+    "expected_sd",
     "VERDICT_INCONCLUSIVE",
     "NOTHING_SURVIVES",
 ]
@@ -152,11 +157,16 @@ class SimOutcome:
     survivor_precision: Stat | None
 
 
+def _pass_rate(cfg: SimConfig) -> float:
+    """Share of items the screener passes, good or not."""
+    return cfg.pi * cfg.screener.tpr + (1 - cfg.pi) * cfg.screener.fpr
+
+
 def expected_outcome(cfg: SimConfig) -> dict[str, float]:
     """Closed-form expectation of each ``SimOutcome`` statistic, by field name."""
     m = cfg.n_total
     tpr_m, r_v = cfg.screener.tpr, cfg.validator.tpr
-    pass_rate = cfg.pi * tpr_m + (1 - cfg.pi) * cfg.screener.fpr
+    pass_rate = _pass_rate(cfg)
     return {
         "baseline_tp": baseline_tp(cfg.pi, cfg.n, r_v),
         "augmented_tp": augmented_tp(cfg.pi, m, tpr_m, r_v),
@@ -164,6 +174,28 @@ def expected_outcome(cfg: SimConfig) -> dict[str, float]:
         "augmented_time": cfg.tau_m * m + cfg.tau_v * pass_rate * m,
         "survivors": pass_rate * m,
     }
+
+
+def expected_sd(cfg: SimConfig) -> dict[str, float]:
+    """Standard deviation of one trial's value of each statistic under the model.
+
+    Every count is binomial.  The augmented time moves only with its
+    survivors, tau_V per survivor; the baseline time does not move at all.
+    """
+    m = cfg.n_total
+    tpr_m, r_v = cfg.screener.tpr, cfg.validator.tpr
+    survivors = _binomial_sd(m, _pass_rate(cfg))
+    return {
+        "baseline_tp": _binomial_sd(cfg.n, cfg.pi * r_v),
+        "augmented_tp": _binomial_sd(m, cfg.pi * tpr_m * r_v),
+        "baseline_time": 0.0,
+        "augmented_time": cfg.tau_v * survivors,
+        "survivors": survivors,
+    }
+
+
+def _binomial_sd(items: int, p: float) -> float:
+    return math.sqrt(items * p * (1 - p))
 
 
 def _summarize(samples: np.ndarray) -> Stat:
@@ -260,7 +292,10 @@ def _trial(
     good = worker.labels(cfg.pi, m)
     survivors = worker.screen(cfg.screener, good) if augmented else m
     good_survivors = int(np.count_nonzero(good))
-    tp = worker.true_positives(cfg.validator.tpr, good)
+    r_v = cfg.validator.tpr
+    # at R_V = 1 the validator passes every good item: its variates, the
+    # stream's last, could change no count, so they are not drawn
+    tp = good_survivors if r_v == 1.0 else worker.true_positives(r_v, good)
     tau_m = cfg.tau_m if augmented else 0.0
     return float(tp), tau_m * m + cfg.tau_v * survivors, float(survivors), float(good_survivors)
 

@@ -1,5 +1,7 @@
 """Any argv ends cleanly: exit 0-3, strict JSON or one ``error:`` line.
 
+At exit 0 or 1 neither a table nor csv prints a NaN or an infinity.
+
 Draws argvs over all five subcommands, the three formats and generated
 catalog files, with flag values that are valid, zero, negative, huge
 (+-1e300, +-1e308), subnormal (1e-320) or not numbers at all.  ``simulate``
@@ -94,6 +96,10 @@ def catalog_files(tmp_path_factory):
     return paths
 
 
+# a NaN or infinity printed as a table or csv cell
+NON_FINITE = re.compile(r"(?<![\w.])-?(nan|inf|infinity)(?![\w.])", re.IGNORECASE)
+
+
 def _not_strict_json(token):
     raise ValueError(f"{token} is not RFC 8259 JSON")
 
@@ -104,6 +110,9 @@ def _not_strict_json(token):
                "--delta-ratio=1e300", "--trials=2", "--format=json"])
 @example(argv=["simulate", "--model=VulDeePecker", "--pi=0.38", "--tau-v=600", "--n=10",
                "--delta-ratio=-1e308", "--trials=2", "--format=json"])
+# finite times whose squared deviations overflow the standard error to inf
+@example(argv=["simulate", "--model=VulDeePecker", "--pi=0.38", "--tau-v=1e300", "--n=50",
+               "--trials=3", "--format=csv"])
 def test_any_argv_ends_cleanly(catalog_files, argv):
     argv = [re.sub(r"@([a-z-]+)", lambda m: str(catalog_files[m[1]]), a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -116,3 +125,5 @@ def test_any_argv_ends_cleanly(catalog_files, argv):
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
     elif argv[-1] == "--format=json":
         json.loads(out, parse_constant=_not_strict_json)
+    else:
+        assert not NON_FINITE.search(out), out

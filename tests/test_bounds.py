@@ -183,6 +183,12 @@ class TestEvaluate:
         with pytest.raises(MetricsError, match="latency"):
             evaluate(config, 0.06)
 
+    def test_overflowed_figures_rejected(self):
+        # both times overflow to inf and would tie as a boundary
+        config = make_config(0.38, 100, 1.0, 1e308, VDP_P_M, VDP_R_M, 1e308)
+        with pytest.raises(MetricsError, match="not a finite number"):
+            evaluate(config, 0.06)
+
     def test_boundary_identity_random_configs(self):
         # at dn = 1/R_M - 1 and tau_M at the tight budget both requirements
         # tie to 1e-9 relative

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, schema conformance."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -231,6 +232,35 @@ class TestSimulate:
         assert precision["empirical_mean"] == probe.mean
         assert precision["empirical_se"] == probe.se
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_identical_small_trials_agree(self, capsys, seed):
+        # 2 trials of 20 items can come out identical, with an empirical SE
+        # of 0: the model's SE keeps that noise from exiting 1
+        code, doc, _ = run_json(
+            capsys, "simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+            "--n", "20", "--trials", "2", "--seed", str(seed),
+        )
+        assert code == 0
+        assert doc["results"]["analytic_agreement"] is True
+
+    # at pi + 0.01 the baseline tp is 100 off: about 9 model SEs over 20
+    # trials, but within 3 per-trial SDs, so the band must shrink with sqrt(trials)
+    @pytest.mark.parametrize("shift", [0.1, 0.01])
+    def test_wrong_expectation_still_exits_1(self, capsys, monkeypatch, shift):
+        expected_outcome = sim.expected_outcome
+        monkeypatch.setattr(
+            sim, "expected_outcome",
+            lambda cfg: expected_outcome(dataclasses.replace(cfg, pi=cfg.pi + shift)),
+        )
+        code, doc, _ = run_json(
+            capsys, "simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
+            "--n", "10000", "--trials", "20",
+        )
+        assert code == 1
+        assert doc["results"]["analytic_agreement"] is False
+        assert doc["results"]["baseline_time"]["within_3se"] is True
+        assert doc["results"]["baseline_tp"]["within_3se"] is False
+
     def test_screener_passing_nothing_exit_3(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--tpr-m", "0", "--fpr-m", "0", "--pi", "0.38",
@@ -395,10 +425,25 @@ class TestCliPlumbing:
             # too negative for a float: rejected as n <= 0, not multiplied
             ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "600",
              "--n", "-1" + "0" * 400),
+            # every time overflows to inf, so the two tie: once a false boundary
+            ("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "1e308",
+             "--tau-m", "1e308"),
+            # ... and once a false convenient verdict
+            ("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "1e308",
+             "--tau-m", "1e308", "--delta-ratio", "0.1"),
+            ("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-m", "1.7e308"),
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--n", "1000",
+             "--trials", "3", "--tau-v", "1e307", "--tau-m", "1e307"),
+            # finite expected times, but the squared deviations behind se overflow
+            ("simulate", "--model", "VulDeePecker", "--pi", "0.38", "--n", "1000",
+             "--trials", "3", "--tau-v", "1e300", "--tau-m", "1"),
         ],
     )
     def test_non_finite_exit_3(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        # every format ends the same way: no table or csv prints inf instead
+        ends = {run_cli(capsys, *argv, "--format", fmt) for fmt in ("table", "csv", "json")}
+        assert len(ends) == 1
+        code, out, err = ends.pop()
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -86,18 +86,32 @@ class TestChunkedKernel:
     )
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_single_shot_reference(self, items, workers):
-        cfg = make_config(
-            n=items, delta_n=0, trials=3, seed=2**64 - 1,
-            screener=RateTriple(tpr=0.3, fpr=0.6),
-            validator=RateTriple(tpr=0.8, fpr=0.2),
-        )
-        base = run_baseline(cfg, workers=workers)
-        aug = run_augmented(cfg, workers=workers)
-        for t in range(cfg.trials):
-            tp, _, _ = single_shot_trial(cfg, t, simulate._BASELINE_STREAM)
-            assert base.tp[t] == tp
-            tp, surv, good_surv = single_shot_trial(cfg, t, simulate._AUGMENTED_STREAM)
-            assert (aug.tp[t], aug.survivors[t], aug.good_survivors[t]) == (tp, surv, good_surv)
+        # the reference always draws the validator pass, which the kernel
+        # skips at R_V = 1
+        for r_v in (0.8, 1.0):
+            cfg = make_config(
+                n=items, delta_n=0, trials=3, seed=2**64 - 1,
+                screener=RateTriple(tpr=0.3, fpr=0.6),
+                validator=RateTriple(tpr=r_v, fpr=0.2),
+            )
+            base = run_baseline(cfg, workers=workers)
+            aug = run_augmented(cfg, workers=workers)
+            for t in range(cfg.trials):
+                tp, _, _ = single_shot_trial(cfg, t, simulate._BASELINE_STREAM)
+                assert base.tp[t] == tp, r_v
+                tp, surv, good_surv = single_shot_trial(cfg, t, simulate._AUGMENTED_STREAM)
+                got = (aug.tp[t], aug.survivors[t], aug.good_survivors[t])
+                assert got == (tp, surv, good_surv), r_v
+
+    def test_validator_pass_skipped_only_at_full_recall(self, monkeypatch):
+        def forbidden(self, tpr, good):
+            raise AssertionError("validator pass drawn")
+
+        monkeypatch.setattr(simulate._Worker, "true_positives", forbidden)
+        compare(make_config(n=100, delta_n=10, trials=3))
+        with pytest.raises(AssertionError, match="validator pass drawn"):
+            compare(make_config(n=100, delta_n=10, trials=3,
+                                validator=RateTriple(tpr=0.9, fpr=0.0)))
 
     def test_pool_capped_at_trials_and_cpus(self, monkeypatch):
         sizes = []
