@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from pipegate.metrics import ClassifierSpec, MetricsError, _check_unit
+from pipegate.metrics import MetricsError, _check_unit
 
 __all__ = [
     "PipelineConfig",
@@ -56,27 +56,35 @@ _REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Scenario parameters: generator prevalence, batch size, both filters.
+    """Scenario parameters: the seven numbers the model reads.
 
-    ``validator`` needs recall and latency; ``screener`` carries the
-    screener-side metrics (precision P_M, recall R_M, latency tau_M).
+    Generator prevalence ``pi`` and batch size ``n``; validator recall R_V
+    and per-patch time tau_V; screener precision P_M, recall R_M and
+    per-patch time tau_M.
     """
 
     pi: float
     n: float
-    validator: ClassifierSpec
-    screener: ClassifierSpec
+    r_v: float
+    tau_v: float
+    p_m: float
+    r_m: float
+    tau_m: float
 
     def __post_init__(self) -> None:
-        _check_unit("pi", self.pi, lo_open=True, hi_open=True)
+        # P_M first: a screener passing no good patch has P_M = R_M = 0, and
+        # the error names its precision
+        _check_unit("precision", self.p_m, lo_open=True)
         if self.n <= 0:
             raise MetricsError(f"n must be > 0, got {self.n}")
-        if self.validator.latency is None or self.validator.latency <= 0:
+        if self.tau_v <= 0:
             raise MetricsError("validator latency must be present and > 0")
-        if self.validator.recall <= 0:
+        if self.r_v <= 0:
             raise MetricsError("validator recall must be > 0")
-        if self.screener.recall <= 0:
-            raise MetricsError(f"r_m must be in (0, 1], got {self.screener.recall}")
+        _check_unit("r_v", self.r_v)
+        if self.tau_m is None or self.tau_m < 0:
+            raise MetricsError("screener latency must be present and >= 0")
+        _check_screener(self.r_m, self.p_m, self.pi)
 
 
 @dataclass(frozen=True)
@@ -212,16 +220,12 @@ def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
     """
     if dn_ratio < 0:
         raise MetricsError(f"dn_ratio must be >= 0, got {dn_ratio}")
-    scr = config.screener
-    if scr.latency is None:
-        raise MetricsError("screener latency unknown: cannot evaluate the time requirement")
-    n_total = config.n * (1.0 + dn_ratio)
-    base_tp = baseline_tp(config.pi, config.n, config.validator.recall)
-    base_time = baseline_time(config.n, config.validator.latency)
-    aug_tp = augmented_tp(config.pi, n_total, scr.recall, config.validator.recall)
-    aug_time = augmented_time(
-        config.pi, n_total, scr.latency, config.validator.latency, scr.recall, scr.precision
-    )
+    c = config
+    n_total = c.n * (1.0 + dn_ratio)
+    base_tp = baseline_tp(c.pi, c.n, c.r_v)
+    base_time = baseline_time(c.n, c.tau_v)
+    aug_tp = augmented_tp(c.pi, n_total, c.r_m, c.r_v)
+    aug_time = augmented_time(c.pi, n_total, c.tau_m, c.tau_v, c.r_m, c.p_m)
     if not all(math.isfinite(x) for x in (base_tp, aug_tp, base_time, aug_time)):
         raise MetricsError("a pipeline figure is not a finite number; inputs too large")
 

@@ -15,6 +15,7 @@ must be labeled optimistic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,9 +23,6 @@ from pipegate.metrics import ClassifierSpec, MetricsError, bayes_fpr
 
 __all__ = [
     "CatalogError",
-    "CatalogParseError",
-    "CatalogValidationError",
-    "DuplicateModelError",
     "UnknownModelError",
     "FPR_REPORTED",
     "FPR_BAYES",
@@ -54,19 +52,7 @@ _BAYES_ROUNDTRIP_TOL = 0.005
 
 
 class CatalogError(Exception):
-    """Base class for catalog ingestion failures."""
-
-
-class CatalogParseError(CatalogError):
-    """Malformed spec file (bad JSON or wrong document shape)."""
-
-
-class CatalogValidationError(CatalogError):
-    """Well-formed file with an out-of-range or inconsistent value."""
-
-
-class DuplicateModelError(CatalogError):
-    """Two records share a name within one catalog."""
+    """An unusable catalog: unreadable or malformed file, bad value or duplicate name."""
 
 
 class UnknownModelError(KeyError):
@@ -85,15 +71,13 @@ class ModelRecord:
 
     def __post_init__(self) -> None:
         if self.fpr_provenance not in (FPR_REPORTED, FPR_BAYES):
-            raise CatalogValidationError(f"bad fpr_provenance: {self.fpr_provenance!r}")
+            raise CatalogError(f"bad fpr_provenance: {self.fpr_provenance!r}")
         if self.latency_provenance not in (
             LATENCY_REPORTED,
             LATENCY_LOWER_BOUND,
             LATENCY_UNKNOWN,
         ):
-            raise CatalogValidationError(
-                f"bad latency_provenance: {self.latency_provenance!r}"
-            )
+            raise CatalogError(f"bad latency_provenance: {self.latency_provenance!r}")
         if (
             self.fpr_provenance == FPR_BAYES
             and self.spec.fpr is not None
@@ -101,7 +85,7 @@ class ModelRecord:
         ):
             implied = bayes_fpr(self.spec.precision, self.spec.recall, self.spec.eval_prevalence)
             if abs(implied - self.spec.fpr) > _BAYES_ROUNDTRIP_TOL:
-                raise CatalogValidationError(
+                raise CatalogError(
                     f"{self.name}: bayes-estimated fpr {self.spec.fpr} does not "
                     f"round-trip from (P, R, prevalence); implied {implied:.4f}"
                 )
@@ -119,11 +103,11 @@ class BenchmarkTimes:
 
     def __post_init__(self) -> None:
         if not (0 < self.q25 <= self.median <= self.q75):
-            raise CatalogValidationError("quartiles must satisfy 0 < q25 <= median <= q75")
+            raise CatalogError("quartiles must satisfy 0 < q25 <= median <= q75")
         if self.mean <= 0:
-            raise CatalogValidationError("mean must be > 0")
+            raise CatalogError("mean must be > 0")
         if not (0 < self.prevalence < 1):
-            raise CatalogValidationError("prevalence must be in (0, 1)")
+            raise CatalogError("prevalence must be in (0, 1)")
 
     def as_columns(self) -> dict[str, float]:
         return {"q25": self.q25, "median": self.median, "q75": self.q75, "mean": self.mean}
@@ -139,7 +123,7 @@ class Catalog:
         for rec in self.models:
             key = _canonical(rec.name)
             if key in seen:
-                raise DuplicateModelError(f"duplicate model name: {rec.name!r}")
+                raise CatalogError(f"duplicate model name: {rec.name!r}")
             seen.add(key)
 
     def lookup(self, name: str) -> ModelRecord:
@@ -230,23 +214,29 @@ _LATENCY_KINDS = {"reported": LATENCY_REPORTED, "lower_bound": LATENCY_LOWER_BOU
 def _require_number(obj: dict, field: str, context: str) -> float:
     value = obj.get(field)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise CatalogParseError(f"{context}: field {field!r} must be a number, got {value!r}")
-    return float(value)
+        raise CatalogError(f"{context}: field {field!r} must be a number, got {value!r}")
+    try:
+        number = float(value)  # JSON NaN and Infinity parse, and 1e400 reads as inf
+    except OverflowError:  # an integer literal beyond the double range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise CatalogError(f"{context}: field {field!r} must be a finite number, got {number}")
+    return number
 
 
 def _parse_model(obj: dict, index: int) -> ModelRecord:
     context = f"models[{index}]"
     if not isinstance(obj, dict):
-        raise CatalogParseError(f"{context}: expected an object")
+        raise CatalogError(f"{context}: expected an object")
     unknown = set(obj) - _MODEL_FIELDS
     if unknown:
-        raise CatalogParseError(f"{context}: unknown field(s) {sorted(unknown)}")
+        raise CatalogError(f"{context}: unknown field(s) {sorted(unknown)}")
     name = obj.get("name")
     if not isinstance(name, str) or not name.strip():
-        raise CatalogParseError(f"{context}: field 'name' must be a non-empty string")
+        raise CatalogError(f"{context}: field 'name' must be a non-empty string")
     for required in ("precision", "recall", "prevalence"):
         if required not in obj:
-            raise CatalogParseError(f"{context} ({name}): missing field {required!r}")
+            raise CatalogError(f"{context} ({name}): missing field {required!r}")
     precision = _require_number(obj, "precision", context)
     recall = _require_number(obj, "recall", context)
     prevalence = _require_number(obj, "prevalence", context)
@@ -263,12 +253,12 @@ def _parse_model(obj: dict, index: int) -> ModelRecord:
         latency = _require_number(obj, "latency_seconds", context)
         kind = obj.get("latency_kind", "reported")
         if kind not in _LATENCY_KINDS:
-            raise CatalogParseError(
+            raise CatalogError(
                 f"{context} ({name}): latency_kind must be 'reported' or 'lower_bound'"
             )
         latency_provenance = _LATENCY_KINDS[kind]
     elif "latency_kind" in obj:
-        raise CatalogParseError(f"{context} ({name}): latency_kind without latency_seconds")
+        raise CatalogError(f"{context} ({name}): latency_kind without latency_seconds")
 
     try:
         if fpr is None:
@@ -288,18 +278,18 @@ def _parse_model(obj: dict, index: int) -> ModelRecord:
             latency_provenance=latency_provenance,
         )
     except MetricsError as exc:
-        raise CatalogValidationError(f"{context} ({name}): {exc}") from exc
+        raise CatalogError(f"{context} ({name}): {exc}") from exc
 
 
 def _parse_benchmark(obj: dict) -> BenchmarkTimes:
     if not isinstance(obj, dict):
-        raise CatalogParseError("benchmark: expected an object")
+        raise CatalogError("benchmark: expected an object")
     unknown = set(obj) - _BENCHMARK_FIELDS
     if unknown:
-        raise CatalogParseError(f"benchmark: unknown field(s) {sorted(unknown)}")
+        raise CatalogError(f"benchmark: unknown field(s) {sorted(unknown)}")
     missing = _BENCHMARK_FIELDS - set(obj)
     if missing:
-        raise CatalogParseError(f"benchmark: missing field(s) {sorted(missing)}")
+        raise CatalogError(f"benchmark: missing field(s) {sorted(missing)}")
     return BenchmarkTimes(
         q25=_require_number(obj, "q25", "benchmark"),
         median=_require_number(obj, "median", "benchmark"),
@@ -319,17 +309,17 @@ def load_catalog(path: str | Path) -> Catalog:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise CatalogParseError(f"{path}: cannot read ({exc})") from exc
+        raise CatalogError(f"{path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
-        raise CatalogParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise CatalogError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise CatalogParseError(f"{path}: top level must be an object")
+        raise CatalogError(f"{path}: top level must be an object")
     unknown = set(doc) - {"models", "benchmark"}
     if unknown:
-        raise CatalogParseError(f"{path}: unknown top-level field(s) {sorted(unknown)}")
+        raise CatalogError(f"{path}: unknown top-level field(s) {sorted(unknown)}")
     models_raw = doc.get("models", [])
     if not isinstance(models_raw, list):
-        raise CatalogParseError(f"{path}: 'models' must be a list")
+        raise CatalogError(f"{path}: 'models' must be a list")
     models = tuple(_parse_model(m, i) for i, m in enumerate(models_raw))
     benchmark = _parse_benchmark(doc["benchmark"]) if "benchmark" in doc else None
     return Catalog(models=models, benchmark=benchmark)

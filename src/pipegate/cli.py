@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from pipegate import bounds as bnd
@@ -256,12 +256,10 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         if budget.tight is not None:
             out.results["max_model_time_tight_seconds"] = _tagged(budget.tight, "derived")
     if tau_m is not None and tau_v is not None:
-        validator = met.ClassifierSpec(precision=1.0, recall=1.0, latency=tau_v)
-        screener = replace(scr, latency=tau_m)
         dn = args.delta_ratio if args.delta_ratio is not None else bnd.min_extra_ratio(scr.recall)
-        report = bnd.evaluate(
-            bnd.PipelineConfig(pi=pi, n=100.0, validator=validator, screener=screener), dn
-        )
+        config = bnd.PipelineConfig(pi=pi, n=100.0, r_v=1.0, tau_v=tau_v,
+                                    p_m=scr.precision, r_m=scr.recall, tau_m=tau_m)
+        report = bnd.evaluate(config, dn)
         out.results["verdict"] = report.verdict
         if report.binding:
             out.results["binding_constraint"] = report.binding
@@ -333,10 +331,11 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         pi=args.pi,
         n=args.n,
         delta_n=delta_n,
-        screener=met.RateTriple(tpr=tpr_m, fpr=fpr_m),
-        validator=met.RateTriple(tpr=args.validator_tpr, fpr=args.validator_fpr),
+        tpr_m=tpr_m,
+        fpr_m=fpr_m,
         tau_m=tau_m,
         tau_v=args.tau_v,
+        r_v=args.validator_tpr,
         trials=args.trials,
         seed=args.seed,
     )
@@ -344,7 +343,7 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         "pi": args.pi, "n": args.n, "delta_n": delta_n,
         "tpr_m": tpr_m, "fpr_m": fpr_m,
         "tau_m_seconds": tau_m, "tau_v_seconds": args.tau_v,
-        "validator_tpr": args.validator_tpr, "validator_fpr": args.validator_fpr,
+        "validator_tpr": args.validator_tpr,
         "trials": args.trials, "seed": args.seed, "workers": args.workers,
         "precision_mode": args.precision_mode,
     })
@@ -358,9 +357,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if probe is None:
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
 
-    tpr_m, fpr_m = cfg.screener.tpr, cfg.screener.fpr
     # some trial had survivors, so the screener passes something
-    p_consistent = met.precision_at_prevalence(tpr_m, fpr_m, cfg.pi)
+    p_consistent = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
     published = args.precision_mode == PRECISION_AS_PUBLISHED and p_m_published is not None
     p_m = p_m_published if published else p_consistent
 
@@ -388,10 +386,9 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         "empirical_se": probe.se,
     }
 
-    validator = met.ClassifierSpec(precision=1.0, recall=cfg.validator.tpr, latency=cfg.tau_v)
-    screener = met.ClassifierSpec(precision=p_m, recall=tpr_m, fpr=fpr_m, latency=cfg.tau_m)
     report = bnd.evaluate(
-        bnd.PipelineConfig(pi=cfg.pi, n=float(cfg.n), validator=validator, screener=screener),
+        bnd.PipelineConfig(pi=cfg.pi, n=float(cfg.n), r_v=cfg.r_v, tau_v=cfg.tau_v,
+                           p_m=p_m, r_m=cfg.tpr_m, tau_m=cfg.tau_m),
         cfg.delta_n / cfg.n,
     )
     results["analytic_verdict"] = report.verdict
@@ -547,11 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-ratio", type=_finite, default=0.0)
     p.add_argument("--tau-v", type=_finite, required=True)
     p.add_argument("--tau-m", type=_finite)
-    p.add_argument("--validator-tpr", type=_finite, default=1.0)
-    p.add_argument(
-        "--validator-fpr", type=_finite, default=0.0,
-        help="range-checked and echoed in inputs; no result depends on it",
-    )
+    p.add_argument("--validator-tpr", type=_finite, default=1.0, help="validator recall R_V")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)

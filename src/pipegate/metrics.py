@@ -21,7 +21,6 @@ from dataclasses import dataclass
 __all__ = [
     "MetricsError",
     "ClassifierSpec",
-    "RateTriple",
     "EPS_CONSISTENCY",
     "bayes_fpr",
     "invert_detector_precision",
@@ -51,22 +50,6 @@ def _check_unit(name: str, value: float, lo_open: bool = False, hi_open: bool = 
         raise MetricsError(f"{name} must be > 0, got {value}")
     if hi_open and value == 1.0:
         raise MetricsError(f"{name} must be < 1, got {value}")
-
-
-@dataclass(frozen=True)
-class RateTriple:
-    """Prevalence-free carrier of a classifier's behaviour.
-
-    ``tpr`` and ``fpr`` do not change when the population is reweighted;
-    precision does, so it is left to :func:`precision_at_prevalence`.
-    """
-
-    tpr: float
-    fpr: float
-
-    def __post_init__(self) -> None:
-        _check_unit("tpr", self.tpr)
-        _check_unit("fpr", self.fpr)
 
 
 @dataclass(frozen=True)

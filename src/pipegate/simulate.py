@@ -13,7 +13,7 @@ in which order.  The generator identity is part of the external contract;
 changing it invalidates golden outputs.  From its one stream, an augmented
 trial over m = n + delta_n items draws m label variates, then m screener
 variates, then m validator variates; a baseline trial draws n labels, then n
-validator variates.  At validator TPR 1 no validator variates are drawn:
+validator variates.  At validator recall 1 no validator variates are drawn:
 ``u < 1.0`` holds for every u in [0, 1), and they are the last draws of their
 stream, so every good item that reaches the validator counts without them
 and no other draw moves.  Each run is drawn in chunks of 8192 doubles (64 KiB)
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from pipegate.bounds import (
     baseline_time,
     baseline_tp,
 )
-from pipegate.metrics import MetricsError, RateTriple, _check_unit
+from pipegate.metrics import MetricsError, _check_unit
 
 __all__ = [
     "SimConfig",
@@ -77,22 +77,26 @@ _CHUNK = 1 << 13
 class SimConfig:
     """Inputs for one simulated scenario.
 
-    ``screener`` carries the screener-side rates (tpr = R_M, fpr = Far_M).
-    The validator's FPR is range-checked, but no result depends on it: both
+    ``tpr_m`` and ``fpr_m`` are the screener's rates (R_M and Far_M) and
+    ``r_v`` is the validator's recall.  The validator has no FPR here: both
     pipelines count only good items, and charge time per item regardless.
     """
 
     pi: float
     n: int
     delta_n: int
-    screener: RateTriple
+    tpr_m: float
+    fpr_m: float
     tau_m: float
     tau_v: float
-    validator: RateTriple = field(default=RateTriple(tpr=1.0, fpr=0.0))
+    r_v: float = 1.0
     trials: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_unit("tpr", self.tpr_m)
+        _check_unit("fpr", self.fpr_m)
+        _check_unit("tpr", self.r_v)
         _check_unit("pi", self.pi, lo_open=True, hi_open=True)
         if self.n <= 0:
             raise MetricsError(f"n must be > 0, got {self.n}")
@@ -159,17 +163,16 @@ class SimOutcome:
 
 def _pass_rate(cfg: SimConfig) -> float:
     """Share of items the screener passes, good or not."""
-    return cfg.pi * cfg.screener.tpr + (1 - cfg.pi) * cfg.screener.fpr
+    return cfg.pi * cfg.tpr_m + (1 - cfg.pi) * cfg.fpr_m
 
 
 def expected_outcome(cfg: SimConfig) -> dict[str, float]:
     """Closed-form expectation of each ``SimOutcome`` statistic, by field name."""
     m = cfg.n_total
-    tpr_m, r_v = cfg.screener.tpr, cfg.validator.tpr
     pass_rate = _pass_rate(cfg)
     return {
-        "baseline_tp": baseline_tp(cfg.pi, cfg.n, r_v),
-        "augmented_tp": augmented_tp(cfg.pi, m, tpr_m, r_v),
+        "baseline_tp": baseline_tp(cfg.pi, cfg.n, cfg.r_v),
+        "augmented_tp": augmented_tp(cfg.pi, m, cfg.tpr_m, cfg.r_v),
         "baseline_time": baseline_time(cfg.n, cfg.tau_v),
         "augmented_time": cfg.tau_m * m + cfg.tau_v * pass_rate * m,
         "survivors": pass_rate * m,
@@ -183,11 +186,10 @@ def expected_sd(cfg: SimConfig) -> dict[str, float]:
     survivors, tau_V per survivor; the baseline time does not move at all.
     """
     m = cfg.n_total
-    tpr_m, r_v = cfg.screener.tpr, cfg.validator.tpr
     survivors = _binomial_sd(m, _pass_rate(cfg))
     return {
-        "baseline_tp": _binomial_sd(cfg.n, cfg.pi * r_v),
-        "augmented_tp": _binomial_sd(m, cfg.pi * tpr_m * r_v),
+        "baseline_tp": _binomial_sd(cfg.n, cfg.pi * cfg.r_v),
+        "augmented_tp": _binomial_sd(m, cfg.pi * cfg.tpr_m * cfg.r_v),
         "baseline_time": 0.0,
         "augmented_time": cfg.tau_v * survivors,
         "survivors": survivors,
@@ -251,7 +253,7 @@ class _Worker:
             np.less(u, pi, out=good[s])
         return good
 
-    def screen(self, rates: RateTriple, good: np.ndarray) -> int:
+    def screen(self, tpr: float, fpr: float, good: np.ndarray) -> int:
         """Pass each item at its rate; ``good`` becomes the good survivors.
 
         Returns the number of survivors, good or not.
@@ -260,9 +262,9 @@ class _Worker:
         for s, u in self.draws(good.size):
             kept = good[s]
             passed, hit = self._passed[: u.size], self._hit[: u.size]
-            np.less(u, rates.fpr, out=passed)
+            np.less(u, fpr, out=passed)
             np.greater(passed, kept, out=passed)  # bad items passed
-            np.less(u, rates.tpr, out=hit)
+            np.less(u, tpr, out=hit)
             kept &= hit
             survivors += int(np.count_nonzero(passed)) + int(np.count_nonzero(kept))
         return survivors
@@ -290,12 +292,11 @@ def _trial(
     augmented = stream == _AUGMENTED_STREAM
     m = cfg.n_total if augmented else cfg.n
     good = worker.labels(cfg.pi, m)
-    survivors = worker.screen(cfg.screener, good) if augmented else m
+    survivors = worker.screen(cfg.tpr_m, cfg.fpr_m, good) if augmented else m
     good_survivors = int(np.count_nonzero(good))
-    r_v = cfg.validator.tpr
     # at R_V = 1 the validator passes every good item: its variates, the
     # stream's last, could change no count, so they are not drawn
-    tp = good_survivors if r_v == 1.0 else worker.true_positives(r_v, good)
+    tp = good_survivors if cfg.r_v == 1.0 else worker.true_positives(cfg.r_v, good)
     tau_m = cfg.tau_m if augmented else 0.0
     return float(tp), tau_m * m + cfg.tau_v * survivors, float(survivors), float(good_survivors)
 
@@ -345,14 +346,13 @@ def run_augmented(cfg: SimConfig, workers: int = 1) -> PipelineSamples:
     return PipelineSamples(tp=res[0], time=res[1], survivors=res[2], good_survivors=res[3])
 
 
-def _margin_verdict(base: PipelineSamples, aug: PipelineSamples) -> str:
+def _margin_verdict(b_tp: Stat, a_tp: Stat, b_t: Stat, a_t: Stat) -> str:
     """Empirical convenience verdict with a 3-standard-error guard band.
 
+    Takes the baseline and augmented true-positive and time statistics.
     Margins within 3 combined SEs of zero cannot be distinguished from the
     boundary, so the verdict is inconclusive rather than a coin flip.
     """
-    b_tp, a_tp = base.tp_stat(), aug.tp_stat()
-    b_t, a_t = base.time_stat(), aug.time_stat()
     tp_margin = a_tp.mean - b_tp.mean
     tp_band = 3.0 * float(np.hypot(a_tp.se, b_tp.se))
     time_margin = b_t.mean - a_t.mean  # positive = time saved
@@ -368,13 +368,15 @@ def compare(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     """Run both pipelines on independent streams and compare them."""
     base = run_baseline(cfg, workers=workers)
     aug = run_augmented(cfg, workers=workers)
+    b_tp, a_tp = base.tp_stat(), aug.tp_stat()
+    b_t, a_t = base.time_stat(), aug.time_stat()
     return SimOutcome(
-        baseline_tp=base.tp_stat(),
-        augmented_tp=aug.tp_stat(),
-        baseline_time=base.time_stat(),
-        augmented_time=aug.time_stat(),
+        baseline_tp=b_tp,
+        augmented_tp=a_tp,
+        baseline_time=b_t,
+        augmented_time=a_t,
         survivors=aug.survivors_stat(),
-        verdict=_margin_verdict(base, aug),
+        verdict=_margin_verdict(b_tp, a_tp, b_t, a_t),
         trials=cfg.trials,
         survivor_precision=_survivor_precision(aug),
     )

@@ -101,14 +101,8 @@ def test_criterion_2_fixed_model_reproduction():
 
 def _verdict_at(scr, tau_v: float, tau_m: float) -> bnd.BoundsReport:
     """Convenience check of screener ``scr`` at latency tau_m, minimum extra volume."""
-    config = bnd.PipelineConfig(
-        pi=PI_PLANNING,
-        n=1.0,
-        validator=met.ClassifierSpec(precision=1.0, recall=1.0, latency=tau_v),
-        screener=met.ClassifierSpec(
-            precision=scr.precision, recall=scr.recall, latency=tau_m
-        ),
-    )
+    config = bnd.PipelineConfig(pi=PI_PLANNING, n=1.0, r_v=1.0, tau_v=tau_v,
+                                p_m=scr.precision, r_m=scr.recall, tau_m=tau_m)
     return bnd.evaluate(config, bnd.min_extra_ratio(scr.recall))
 
 
@@ -169,12 +163,7 @@ def test_criterion_4_boundary_identity_property():
             tau_m = bnd.max_model_time(tau_v, r_m, p_m, pi, dn).tight
             if tau_m < 0:
                 continue
-            config = bnd.PipelineConfig(
-                pi=pi,
-                n=n,
-                validator=met.ClassifierSpec(precision=1.0, recall=r_v, latency=tau_v),
-                screener=met.ClassifierSpec(precision=p_m, recall=r_m, latency=tau_m),
-            )
+            config = bnd.PipelineConfig(pi, n, r_v, tau_v, p_m, r_m, tau_m)
             rep = bnd.evaluate(config, dn)
             worst_tp = max(
                 worst_tp, abs(rep.augmented_tp - rep.baseline_tp) / rep.baseline_tp
@@ -205,7 +194,8 @@ def test_criterion_5_oracle_equivalence():
                 pi=PI_PLANNING,
                 n=n,
                 delta_n=dn,
-                screener=met.RateTriple(tpr=scr.recall, fpr=scr.fpr),
+                tpr_m=scr.recall,
+                fpr_m=scr.fpr,
                 tau_m=tau_m,
                 tau_v=tau_v,
                 trials=trials,
@@ -232,14 +222,8 @@ def test_criterion_5_oracle_equivalence():
             # analytic verdict via the prevalence-consistent closed forms
             p_cons = met.precision_at_prevalence(scr.recall, scr.fpr, PI_PLANNING)
             analytic = bnd.evaluate(
-                bnd.PipelineConfig(
-                    pi=PI_PLANNING,
-                    n=float(n),
-                    validator=met.ClassifierSpec(precision=1.0, recall=1.0, latency=tau_v),
-                    screener=met.ClassifierSpec(
-                        precision=p_cons, recall=scr.recall, fpr=scr.fpr, latency=tau_m
-                    ),
-                ),
+                bnd.PipelineConfig(pi=PI_PLANNING, n=float(n), r_v=1.0, tau_v=tau_v,
+                                   p_m=p_cons, r_m=scr.recall, tau_m=tau_m),
                 dn / n,
             )
             tp_margin = abs(analytic.augmented_tp - analytic.baseline_tp)

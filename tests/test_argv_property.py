@@ -37,6 +37,8 @@ CATALOGS = {
                      "benchmark": dict(BENCHMARK, q75=1e300, mean=1e300)},
     "subnormal-benchmark": {"models": [GEN],
                             "benchmark": dict(BENCHMARK, q25=1e-320, median=1e-320)},
+    "non-finite": {"models": [dict(GEN, latency_seconds=float("nan"))],
+                   "benchmark": dict(BENCHMARK, mean=float("inf"))},
 }
 
 # subcommand -> flag -> (good values, odd values); None leaves the flag out.
@@ -58,7 +60,7 @@ SUBCOMMANDS = {
     "simulate": {
         "model": MODEL, "tpr-m": ([None, "0.95", "0.5"], ODD), "fpr-m": ([None, "0.16"], ODD),
         "pi": PI, "tau-v": TAU_V, "tau-m": TAU_M, "delta-ratio": RATIO,
-        "validator-tpr": ([None, "1", "0.9"], ODD), "validator-fpr": ([None, "0.1"], ODD),
+        "validator-tpr": ([None, "1", "0.9"], ODD),
         "seed": ([None, "7"], ["-1", str(2**64), "abc"]),
         "workers": ([None, "2"], ["0", "-3", "abc"]),
         "precision-mode": ([None, "prevalence-consistent"], ["bogus"]),

@@ -19,19 +19,10 @@ from pipegate.bounds import (
     min_extra_ratio,
     min_validator_time,
 )
-from pipegate.metrics import ClassifierSpec, MetricsError, invert_detector_precision
+from pipegate.metrics import MetricsError, invert_detector_precision
 
 VDP_P_M = invert_detector_precision(0.87, 0.84, 0.05)  # 0.93713
 VDP_R_M = 0.95
-
-
-def make_config(pi, n, r_v, tau_v, p_m, r_m, tau_m):
-    return PipelineConfig(
-        pi=pi,
-        n=n,
-        validator=ClassifierSpec(precision=1.0, recall=r_v, latency=tau_v),
-        screener=ClassifierSpec(precision=p_m, recall=r_m, latency=tau_m),
-    )
 
 
 class TestThroughput:
@@ -148,13 +139,13 @@ class TestBoundsFormulas:
 
 class TestEvaluate:
     def test_convenient_scenario(self):
-        config = make_config(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 156.0)
+        config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 156.0)
         report = evaluate(config, 0.06)
         assert report.verdict == VERDICT_CONVENIENT
         assert report.binding is None
 
     def test_perfect_free_screener_boundary_on_tp(self):
-        config = make_config(0.38, 100, 1.0, 10.0, 1.0, 1.0, 0.0)
+        config = PipelineConfig(0.38, 100, 1.0, 10.0, 1.0, 1.0, 0.0)
         report = evaluate(config, 0.0)
         # tp ties exactly, time is strictly smaller
         assert report.verdict == VERDICT_CONVENIENT
@@ -162,7 +153,7 @@ class TestEvaluate:
         assert report.augmented_time < report.baseline_time
 
     def test_no_headroom_never_convenient(self):
-        config = make_config(0.38, 100, 1.0, 300.0, 0.38, 0.95, 10.0)
+        config = PipelineConfig(0.38, 100, 1.0, 300.0, 0.38, 0.95, 10.0)
         report = evaluate(config, min_extra_ratio(0.95))
         assert report.verdict == VERDICT_NOT_CONVENIENT
         assert "time" in report.binding
@@ -170,22 +161,40 @@ class TestEvaluate:
     def test_boundary_verdict_at_exact_tie(self):
         dn = min_extra_ratio(VDP_R_M)
         budget = max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, dn)
-        config = make_config(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, budget.tight)
+        config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, budget.tight)
         report = evaluate(config, dn)
         assert report.verdict == VERDICT_BOUNDARY
 
     def test_screener_passing_no_good_patch_rejected(self):
         with pytest.raises(MetricsError, match=r"r_m must be in \(0, 1\], got 0.0"):
-            make_config(0.38, 100, 1.0, 300.0, VDP_P_M, 0.0, 10.0)
+            PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, 0.0, 10.0)
+        # its prevalence-consistent precision is 0 too, and P_M is named first
+        with pytest.raises(MetricsError, match="precision must be > 0, got 0.0"):
+            PipelineConfig(0.38, 100, 1.0, 300.0, 0.0, 0.0, 10.0)
+        # each of the other numbers outside its range
+        good = dict(pi=0.38, n=100, r_v=1.0, tau_v=300.0, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=10.0)
+        for field, value, message in [
+            ("p_m", 1.5, r"precision must be in \[0, 1\], got 1.5"),
+            ("p_m", -0.1, r"precision must be in \[0, 1\], got -0.1"),
+            ("r_v", 0.0, "validator recall must be > 0"),
+            ("r_v", 1.5, r"r_v must be in \[0, 1\], got 1.5"),
+            ("tau_v", 0.0, "validator latency must be present and > 0"),
+            ("tau_v", -1.0, "validator latency must be present and > 0"),
+            ("r_m", 1.5, r"r_m must be in \(0, 1\], got 1.5"),
+            ("pi", 1.0, "pi must be < 1, got 1.0"),
+            ("n", 0, "n must be > 0, got 0"),
+        ]:
+            with pytest.raises(MetricsError, match=message):
+                PipelineConfig(**dict(good, **{field: value}))
 
     def test_missing_screener_latency(self):
-        config = make_config(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, None)
-        with pytest.raises(MetricsError, match="latency"):
-            evaluate(config, 0.06)
+        for tau_m in (None, -1.0):
+            with pytest.raises(MetricsError, match="latency"):
+                PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, tau_m)
 
     def test_overflowed_figures_rejected(self):
         # both times overflow to inf and would tie as a boundary
-        config = make_config(0.38, 100, 1.0, 1e308, VDP_P_M, VDP_R_M, 1e308)
+        config = PipelineConfig(0.38, 100, 1.0, 1e308, VDP_P_M, VDP_R_M, 1e308)
         with pytest.raises(MetricsError, match="not a finite number"):
             evaluate(config, 0.06)
 
@@ -204,7 +213,7 @@ class TestEvaluate:
             tau_m = max_model_time(tau_v, r_m, p_m, pi, dn).tight
             if tau_m < 0:
                 continue
-            config = make_config(pi, n, r_v, tau_v, p_m, r_m, tau_m)
+            config = PipelineConfig(pi, n, r_v, tau_v, p_m, r_m, tau_m)
             report = evaluate(config, dn)
             assert report.augmented_tp == pytest.approx(report.baseline_tp, rel=1e-9)
             assert report.augmented_time == pytest.approx(report.baseline_time, rel=1e-9)

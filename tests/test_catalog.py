@@ -1,6 +1,7 @@
 """Built-in dataset contents and JSON spec-file ingestion."""
 
 import json
+import re
 
 import pytest
 
@@ -12,9 +13,7 @@ from pipegate.catalog import (
     LATENCY_UNKNOWN,
     BenchmarkTimes,
     Catalog,
-    CatalogParseError,
-    CatalogValidationError,
-    DuplicateModelError,
+    CatalogError,
     UnknownModelError,
     builtin_benchmark,
     builtin_catalog,
@@ -127,7 +126,8 @@ class TestLoadCatalog:
 
     def test_out_of_range_value_names_field(self, tmp_path):
         doc = {"models": [dict(VALID_DOC["models"][0], precision=1.3)]}
-        with pytest.raises(CatalogValidationError, match="precision"):
+        message = r"models\[0\] \(LineVul\): precision must be in \[0, 1\], got 1.3"
+        with pytest.raises(CatalogError, match=message):
             load_catalog(write_doc(tmp_path, doc))
 
     def test_empty_model_list(self, tmp_path):
@@ -137,24 +137,25 @@ class TestLoadCatalog:
 
     def test_unknown_field_rejected(self, tmp_path):
         doc = {"models": [dict(VALID_DOC["models"][0], presicion=0.9)]}
-        with pytest.raises(CatalogParseError, match="presicion"):
+        with pytest.raises(CatalogError, match=r"models\[0\]: unknown field\(s\) \['presicion'\]"):
             load_catalog(write_doc(tmp_path, doc))
 
     def test_missing_required_field(self, tmp_path):
         model = dict(VALID_DOC["models"][0])
         del model["recall"]
-        with pytest.raises(CatalogParseError, match="recall"):
+        message = r"models\[0\] \(LineVul\): missing field 'recall'"
+        with pytest.raises(CatalogError, match=message):
             load_catalog(write_doc(tmp_path, {"models": [model]}))
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"models": [\n  {"name": }\n]}')
-        with pytest.raises(CatalogParseError, match="line 2"):
+        with pytest.raises(CatalogError, match="bad.json: invalid JSON at line 2"):
             load_catalog(path)
 
     def test_duplicate_names(self, tmp_path):
         doc = {"models": [VALID_DOC["models"][0], VALID_DOC["models"][0]]}
-        with pytest.raises(DuplicateModelError):
+        with pytest.raises(CatalogError, match="duplicate model name: 'LineVul'"):
             load_catalog(write_doc(tmp_path, doc))
 
     def test_latency_kinds(self, tmp_path):
@@ -162,13 +163,31 @@ class TestLoadCatalog:
         catalog = load_catalog(write_doc(tmp_path, {"models": [model]}))
         assert catalog.models[0].latency_provenance == LATENCY_LOWER_BOUND
         model["latency_kind"] = "guess"
-        with pytest.raises(CatalogParseError, match="latency_kind"):
+        with pytest.raises(CatalogError, match="latency_kind must be 'reported' or 'lower_bound'"):
             load_catalog(write_doc(tmp_path, {"models": [model]}))
 
     def test_latency_kind_without_latency(self, tmp_path):
         model = dict(VALID_DOC["models"][0], latency_kind="reported")
-        with pytest.raises(CatalogParseError):
+        with pytest.raises(CatalogError, match="latency_kind without latency_seconds"):
             load_catalog(write_doc(tmp_path, {"models": [model]}))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "long-int"])
+    @pytest.mark.parametrize("section,field", [("models[0]", "latency_seconds"),
+                                               ("benchmark", "mean")])
+    def test_non_finite_number_names_field(self, tmp_path, section, field, literal):
+        # json.loads reads NaN and Infinity, and 1e400 as inf; a long integer
+        # literal overflows the double it would become
+        doc = {"models": [dict(VALID_DOC["models"][0], latency_seconds=2.0)],
+               "benchmark": dict(VALID_DOC["benchmark"])}
+        target = doc["models"][0] if section == "models[0]" else doc["benchmark"]
+        target[field] = "@"
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        got = "-inf" if literal.startswith("-") else "nan" if literal == "NaN" else "inf"
+        message = rf"{re.escape(section)}: field '{field}' must be a finite number, got {got}$"
+        with pytest.raises(CatalogError, match=message):
+            load_catalog(path)
 
     def test_roundtrip(self, tmp_path):
         first = load_catalog(write_doc(tmp_path, VALID_DOC))
@@ -191,9 +210,9 @@ class TestLoadCatalog:
 
 class TestBenchmarkTimes:
     def test_quartile_ordering_enforced(self):
-        with pytest.raises(CatalogValidationError):
+        with pytest.raises(CatalogError, match="quartiles must satisfy 0 < q25 <= median <= q75"):
             BenchmarkTimes(q25=10, median=5, q75=20, mean=10, prevalence=0.5)
 
     def test_positive_mean(self):
-        with pytest.raises(CatalogValidationError):
+        with pytest.raises(CatalogError, match="mean must be > 0"):
             BenchmarkTimes(q25=1, median=2, q75=3, mean=0, prevalence=0.5)

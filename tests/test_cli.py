@@ -197,7 +197,7 @@ class TestSimulate:
         ),
         (
             "simulate --tpr-m 0.8 --fpr-m 0.3 --pi 0.2 --n 16000 --delta-ratio 0.024"
-            " --tau-v 5 --tau-m 1 --validator-tpr 0.9 --validator-fpr 0.05 --trials 5 --seed 11",
+            " --tau-v 5 --tau-m 1 --validator-tpr 0.9 --trials 5 --seed 11",
             "ba1a97673a6e4045aa875c48c9469b13564762ce9a6f1cf8252a1dd553b4a0f2",
         ),
         (

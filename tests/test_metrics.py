@@ -11,7 +11,6 @@ from pipegate.metrics import (
     ClassifierSpec,
     InconsistentSpecWarning,
     MetricsError,
-    RateTriple,
     bayes_fpr,
     invert_detector,
     invert_detector_fpr,
@@ -171,10 +170,6 @@ class TestPrecisionAtPrevalence:
 
 
 class TestSpecTypes:
-    def test_rate_triple_validation(self):
-        with pytest.raises(MetricsError):
-            RateTriple(tpr=1.1, fpr=0.0)
-
     def test_classifier_spec_ranges(self):
         with pytest.raises(MetricsError):
             ClassifierSpec(precision=1.3, recall=0.5)

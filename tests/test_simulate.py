@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pipegate import simulate
-from pipegate.metrics import MetricsError, RateTriple, precision_at_prevalence
+from pipegate.metrics import MetricsError, precision_at_prevalence
 from pipegate.simulate import (
     VERDICT_INCONCLUSIVE,
     SimConfig,
@@ -16,7 +16,7 @@ from pipegate.simulate import (
     run_baseline,
 )
 
-VDP_RATES = RateTriple(tpr=0.95, fpr=0.16)
+VDP_TPR, VDP_FPR = 0.95, 0.16
 
 
 def make_config(**overrides):
@@ -24,7 +24,8 @@ def make_config(**overrides):
         pi=0.38,
         n=20_000,
         delta_n=1200,
-        screener=VDP_RATES,
+        tpr_m=VDP_TPR,
+        fpr_m=VDP_FPR,
         tau_m=156.0,
         tau_v=600.0,
         trials=50,
@@ -52,7 +53,7 @@ class TestDeterminism:
         assert a.baseline_tp.mean != b.baseline_tp.mean
 
     def test_baseline_and_augmented_streams_independent(self):
-        cfg = make_config(delta_n=0, tau_m=0.0, screener=RateTriple(tpr=1.0, fpr=1.0))
+        cfg = make_config(delta_n=0, tau_m=0.0, tpr_m=1.0, fpr_m=1.0)
         base = run_baseline(cfg)
         aug = run_augmented(cfg)
         # pass-through screener over the same n: per-trial TPs come from
@@ -70,9 +71,9 @@ def single_shot_trial(cfg, trial, stream):
         pass_m = np.ones(m, dtype=bool)
     else:
         u_m = rng.random(m)
-        pass_m = np.where(good, u_m < cfg.screener.tpr, u_m < cfg.screener.fpr)
+        pass_m = np.where(good, u_m < cfg.tpr_m, u_m < cfg.fpr_m)
     u_v = rng.random(m)
-    pass_v = np.where(good, u_v < cfg.validator.tpr, u_v < cfg.validator.fpr)
+    pass_v = u_v < cfg.r_v
     return (
         np.count_nonzero(pass_m & good & pass_v),
         np.count_nonzero(pass_m),
@@ -91,8 +92,7 @@ class TestChunkedKernel:
         for r_v in (0.8, 1.0):
             cfg = make_config(
                 n=items, delta_n=0, trials=3, seed=2**64 - 1,
-                screener=RateTriple(tpr=0.3, fpr=0.6),
-                validator=RateTriple(tpr=r_v, fpr=0.2),
+                tpr_m=0.3, fpr_m=0.6, r_v=r_v,
             )
             base = run_baseline(cfg, workers=workers)
             aug = run_augmented(cfg, workers=workers)
@@ -110,8 +110,7 @@ class TestChunkedKernel:
         monkeypatch.setattr(simulate._Worker, "true_positives", forbidden)
         compare(make_config(n=100, delta_n=10, trials=3))
         with pytest.raises(AssertionError, match="validator pass drawn"):
-            compare(make_config(n=100, delta_n=10, trials=3,
-                                validator=RateTriple(tpr=0.9, fpr=0.0)))
+            compare(make_config(n=100, delta_n=10, trials=3, r_v=0.9))
 
     def test_pool_capped_at_trials_and_cpus(self, monkeypatch):
         sizes = []
@@ -133,13 +132,13 @@ class TestChunkedKernel:
 
 class TestBaseline:
     def test_tp_mean_matches_binomial_expectation(self):
-        cfg = make_config(n=100_000, trials=100, validator=RateTriple(tpr=1.0, fpr=0.0))
+        cfg = make_config(n=100_000, trials=100, r_v=1.0)
         base = run_baseline(cfg)
         stat = base.tp_stat()
         assert abs(stat.mean - 38_000) <= 3 * stat.se
 
     def test_zero_recall_validator(self):
-        cfg = make_config(validator=RateTriple(tpr=0.0, fpr=0.0))
+        cfg = make_config(r_v=0.0)
         base = run_baseline(cfg)
         assert np.all(base.tp == 0)
 
@@ -159,7 +158,7 @@ class TestAugmented:
         assert abs(surv_stat.mean - 46_020) <= 3 * surv_stat.se
 
     def test_free_perfect_screener_beats_baseline(self):
-        cfg = make_config(delta_n=0, tau_m=0.0, screener=RateTriple(tpr=1.0, fpr=0.0))
+        cfg = make_config(delta_n=0, tau_m=0.0, tpr_m=1.0, fpr_m=0.0)
         base = run_baseline(cfg)
         aug = run_augmented(cfg)
         assert abs(aug.tp_stat().mean - base.tp_stat().mean) <= 3 * np.hypot(
@@ -168,7 +167,7 @@ class TestAugmented:
         assert np.all(aug.time <= base.time)
 
     def test_pass_through_screener(self):
-        cfg = make_config(screener=RateTriple(tpr=1.0, fpr=1.0))
+        cfg = make_config(tpr_m=1.0, fpr_m=1.0)
         aug = run_augmented(cfg)
         m = cfg.n_total
         assert np.all(aug.survivors == m)
@@ -182,8 +181,8 @@ class TestAugmented:
 
     def test_monotone_coupling_in_screener_tpr(self):
         # common random numbers: a better screener never loses a TP
-        lo = run_augmented(make_config(screener=RateTriple(tpr=0.6, fpr=0.16)))
-        hi = run_augmented(make_config(screener=RateTriple(tpr=0.9, fpr=0.16)))
+        lo = run_augmented(make_config(tpr_m=0.6, fpr_m=0.16))
+        hi = run_augmented(make_config(tpr_m=0.9, fpr_m=0.16))
         assert np.all(hi.tp >= lo.tp)
         assert np.all(hi.good_survivors >= lo.good_survivors)
 
@@ -203,10 +202,10 @@ class TestCompare:
     def test_boundary_config_inconclusive(self):
         # dn at the exact throughput boundary and tau_m at the tight time
         # budget: both margins are zero by construction
-        r_m = VDP_RATES.tpr
+        r_m = VDP_TPR
         dn_ratio = 1 / r_m - 1
         n = 50_000
-        p_cons = precision_at_prevalence(VDP_RATES.tpr, VDP_RATES.fpr, 0.38)
+        p_cons = precision_at_prevalence(VDP_TPR, VDP_FPR, 0.38)
         tau_v = 600.0
         tau_m = tau_v * (1 / (1 + dn_ratio) - (r_m / p_cons) * 0.38)
         cfg = make_config(n=n, delta_n=int(round(n * dn_ratio)), tau_m=tau_m, tau_v=tau_v)
@@ -227,17 +226,17 @@ class TestSurvivorPrecisionProbe:
         assert abs(stat.mean - expected) <= 3 * stat.se
 
     def test_zero_fpr_gives_perfect_precision(self):
-        cfg = make_config(screener=RateTriple(tpr=0.9, fpr=0.0))
+        cfg = make_config(tpr_m=0.9, fpr_m=0.0)
         stat = compare(cfg).survivor_precision
         assert stat.mean == 1.0
         assert stat.se == 0.0
 
     def test_nothing_survives(self):
-        cfg = make_config(screener=RateTriple(tpr=0.0, fpr=0.0), trials=3)
+        cfg = make_config(tpr_m=0.0, fpr_m=0.0, trials=3)
         assert compare(cfg).survivor_precision is None
 
     def test_uninformative_screener_precision_equals_prevalence(self):
-        cfg = make_config(n=100_000, screener=RateTriple(tpr=0.5, fpr=0.5), trials=100)
+        cfg = make_config(n=100_000, tpr_m=0.5, fpr_m=0.5, trials=100)
         stat = compare(cfg).survivor_precision
         assert abs(stat.mean - 0.38) <= 3 * stat.se
 
@@ -254,6 +253,16 @@ class TestConfigValidation:
             make_config(trials=0)
         with pytest.raises(MetricsError):
             make_config(seed=-1)
+        for field, value, message in [
+            ("tpr_m", 1.5, r"tpr must be in \[0, 1\], got 1.5"),
+            ("tpr_m", -0.1, r"tpr must be in \[0, 1\], got -0.1"),
+            ("fpr_m", 1.5, r"fpr must be in \[0, 1\], got 1.5"),
+            ("fpr_m", -0.1, r"fpr must be in \[0, 1\], got -0.1"),
+            ("r_v", 1.5, r"tpr must be in \[0, 1\], got 1.5"),
+            ("r_v", -0.1, r"tpr must be in \[0, 1\], got -0.1"),
+        ]:
+            with pytest.raises(MetricsError, match=message):
+                make_config(**{field: value})
 
     def test_config_is_frozen(self):
         cfg = make_config()
