@@ -11,6 +11,7 @@ from pipegate.metrics import (
     ClassifierSpec,
     InconsistentSpecWarning,
     MetricsError,
+    _check_unit,
     bayes_fpr,
     invert_detector,
     invert_detector_fpr,
@@ -170,6 +171,15 @@ class TestPrecisionAtPrevalence:
 
 
 class TestSpecTypes:
+    def test_rate_triple_validation(self):
+        # the range check SimConfig runs on tpr_m, fpr_m and r_v
+        with pytest.raises(MetricsError, match=r"tpr must be in \[0, 1\], got 1.1"):
+            _check_unit("tpr", 1.1)
+        with pytest.raises(MetricsError, match=r"fpr must be in \[0, 1\], got -0.1"):
+            _check_unit("fpr", -0.1)
+        _check_unit("tpr", 0.0)
+        _check_unit("fpr", 1.0)
+
     def test_classifier_spec_ranges(self):
         with pytest.raises(MetricsError):
             ClassifierSpec(precision=1.3, recall=0.5)
