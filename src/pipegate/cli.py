@@ -255,6 +255,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         out.results["max_model_time_relaxed_seconds"] = _tagged(budget.relaxed, "derived")
         if budget.tight is not None:
             out.results["max_model_time_tight_seconds"] = _tagged(budget.tight, "derived")
+    elif args.delta_ratio is not None and args.delta_ratio < 0:  # echoed, though nothing reads it
+        raise met.MetricsError(f"dn_ratio must be >= 0, got {args.delta_ratio}")
     if tau_m is not None and tau_v is not None:
         dn = args.delta_ratio if args.delta_ratio is not None else bnd.min_extra_ratio(scr.recall)
         config = bnd.PipelineConfig(pi=pi, n=100.0, r_v=1.0, tau_v=tau_v,
@@ -264,6 +266,14 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         if report.binding:
             out.results["binding_constraint"] = report.binding
     return out, EXIT_OK
+
+
+def _time_limits(catalog: cat.Catalog, benchmark: cat.BenchmarkTimes, pi: float):
+    """Yield (model record, {benchmark column: relaxed screener-time budget})."""
+    for record in catalog.models:
+        scr = met.invert_detector(record.spec)
+        yield record, {stat: bnd.max_model_time(tau_v, scr.recall, scr.precision, pi).relaxed
+                       for stat, tau_v in benchmark.as_columns().items()}
 
 
 def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
@@ -278,14 +288,10 @@ def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     pi = args.pi if args.pi is not None else benchmark.prevalence
 
     columns = ["model", "q25", "median", "q75", "mean"]
-    rows = []
-    for record in catalog.models:
-        scr = met.invert_detector(record.spec)
-        cells = []
-        for stat, tau_v in benchmark.as_columns().items():
-            budget = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi)
-            cells.append(max(0.0, budget.relaxed))  # 0.0 first: an underflowed -0.0 prints as 0.0
-        rows.append([record.name, *cells])
+    # 0.0 first: an underflowed -0.0 prints as 0.0
+    rows = [[record.name, *(max(0.0, b) for b in budgets.values())]
+            for record, budgets in _time_limits(catalog, benchmark, pi)]
+    met._check_unit("pi", pi, lo_open=True, hi_open=True)  # also when no model computed a row
     out = OutputRecord(
         command="limits",
         inputs={
@@ -297,10 +303,14 @@ def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     return out, EXIT_OK
 
 
-def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, float | None]:
-    """Build a SimConfig from flags; returns (config, inputs, as_published_precision)."""
+def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, bnd.PipelineConfig, dict]:
+    """Check the whole scenario before any trial runs.
+
+    Returns (simulated config, analytic config, inputs).  The analytic P_M
+    is the published one under ``as-published`` with ``--model``, and the
+    precision at the generator's pi otherwise.
+    """
     inputs: dict = {}
-    p_m_published: float | None = None
     if args.model is not None:
         catalog = _resolve_catalog(args.catalog)
         record = _resolve_model(catalog, args.model)
@@ -308,7 +318,6 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         tpr_m = scr.recall if args.tpr_m is None else args.tpr_m
         fpr_m = scr.fpr if args.fpr_m is None else args.fpr_m
         tau_m = args.tau_m if args.tau_m is not None else scr.latency
-        p_m_published = scr.precision
         inputs.update(_detector_inputs(record))
     else:
         if args.tpr_m is None or args.fpr_m is None:
@@ -318,6 +327,8 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         raise CliError(EXIT_INVALID, "screener latency unknown: pass --tau-m")
     if args.trials < 2:  # one trial has no standard error to check against
         raise CliError(EXIT_INVALID, f"trials must be >= 2, got {args.trials}")
+    if args.workers < 1:
+        raise CliError(EXIT_INVALID, f"workers must be >= 1, got {args.workers}")
     for name in ("n", "trials"):  # numpy cannot size or index an array that long
         if getattr(args, name) >= 2**63:
             raise CliError(EXIT_INVALID, f"{name} must be below 2**63")
@@ -339,6 +350,14 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         trials=args.trials,
         seed=args.seed,
     )
+    if sim.expected_outcome(cfg)["survivors"] == 0:  # a screener that passes nothing
+        raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
+    if args.precision_mode == PRECISION_AS_PUBLISHED and args.model is not None:
+        p_m = scr.precision
+    else:
+        p_m = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
+    pipeline = bnd.PipelineConfig(pi=cfg.pi, n=float(cfg.n), r_v=cfg.r_v, tau_v=cfg.tau_v,
+                                  p_m=p_m, r_m=cfg.tpr_m, tau_m=cfg.tau_m)
     inputs.update({
         "pi": args.pi, "n": args.n, "delta_n": delta_n,
         "tpr_m": tpr_m, "fpr_m": fpr_m,
@@ -347,20 +366,16 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, dict, flo
         "trials": args.trials, "seed": args.seed, "workers": args.workers,
         "precision_mode": args.precision_mode,
     })
-    return cfg, inputs, p_m_published
+    return cfg, pipeline, inputs
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    cfg, inputs, p_m_published = _simulate_config(args)
+    cfg, pipeline, inputs = _simulate_config(args)
+    report = bnd.evaluate(pipeline, cfg.delta_n / cfg.n)
     outcome = sim.compare(cfg, workers=args.workers)
     probe = outcome.survivor_precision
-    if probe is None:
+    if probe is None:  # the screener can pass items, but no trial's did
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
-
-    # some trial had survivors, so the screener passes something
-    p_consistent = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
-    published = args.precision_mode == PRECISION_AS_PUBLISHED and p_m_published is not None
-    p_m = p_m_published if published else p_consistent
 
     results: dict = {"trials": outcome.trials, "empirical_verdict": outcome.verdict}
     agree_all = True
@@ -380,17 +395,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         }
     results["analytic_agreement"] = agree_all
     results["screener_precision"] = {
-        "as_published": p_m,
-        "prevalence_consistent": p_consistent,
+        "as_published": pipeline.p_m,
+        "prevalence_consistent": met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi),
         "empirical_mean": probe.mean,
         "empirical_se": probe.se,
     }
-
-    report = bnd.evaluate(
-        bnd.PipelineConfig(pi=cfg.pi, n=float(cfg.n), r_v=cfg.r_v, tau_v=cfg.tau_v,
-                           p_m=p_m, r_m=cfg.tpr_m, tau_m=cfg.tau_m),
-        cfg.delta_n / cfg.n,
-    )
     results["analytic_verdict"] = report.verdict
 
     out = OutputRecord(command="simulate", inputs=inputs, results=results)
@@ -419,49 +428,36 @@ def _reproduce_rows() -> list[list]:
             continue
         spec = record.spec
         computed = met.bayes_fpr(spec.precision, spec.recall, spec.eval_prevalence)
-        published = spec.fpr
-        err = abs(computed - published)
-        rows.append([
-            "bayes_fpr", record.name, published, computed, err, 0.005,
-            "pass" if err <= 0.005 else "FAIL",
-        ])
+        rows.append(_check_row("bayes_fpr", record.name, spec.fpr, computed,
+                               abs(computed - spec.fpr), 0.005))
 
     pi = benchmark.prevalence
     for name, published in cat.PUBLISHED_PLANNING.items():
         record = catalog.lookup(name)
         scr = met.invert_detector(record.spec)
         minutes = bnd.min_validator_time(record.spec.latency, scr.recall, scr.precision, pi) / 60.0
-        rel = abs(minutes - published["min_validator_minutes"]) / published["min_validator_minutes"]
-        rows.append([
-            "fixed_model", f"{name} min validator (min)",
-            published["min_validator_minutes"], minutes, rel, 0.03,
-            "pass" if rel <= 0.03 else "FAIL",
-        ])
+        want = published["min_validator_minutes"]
+        rows.append(_check_row("fixed_model", f"{name} min validator (min)", want, minutes,
+                               abs(minutes - want) / want, 0.03))
         ratio = bnd.min_extra_ratio(scr.recall)
+        want = published["min_extra_ratio"]
         # absolute tolerance in ratio units: 0.05 pp for the primary row,
         # 1 pp for the ReVeal row whose published figure is unexplained
         tol = 0.0005 if name == "VulDeePecker" else 0.01
-        err = abs(ratio - published["min_extra_ratio"])
-        rows.append([
-            "fixed_model", f"{name} min extra ratio",
-            published["min_extra_ratio"], ratio, err, tol,
-            "pass" if err <= tol else "FAIL",
-        ])
+        rows.append(_check_row("fixed_model", f"{name} min extra ratio", want, ratio,
+                               abs(ratio - want), tol))
 
-    for record in catalog.models:
-        scr = met.invert_detector(record.spec)
-        published_row = cat.PUBLISHED_TIME_LIMITS[record.name]
+    for record, budgets in _time_limits(catalog, benchmark, pi):
         tol = 0.10 if record.name.startswith("CodeJIT") else 0.05
-        for stat, tau_v in benchmark.as_columns().items():
-            budget = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi)
-            published = published_row[stat]
-            rel = abs(budget.relaxed - published) / published
-            rows.append([
-                "time_limits", f"{record.name} / {stat}",
-                published, budget.relaxed, rel, tol,
-                "pass" if rel <= tol else "FAIL",
-            ])
+        for stat, budget in budgets.items():
+            want = cat.PUBLISHED_TIME_LIMITS[record.name][stat]
+            rows.append(_check_row("time_limits", f"{record.name} / {stat}", want, budget,
+                                   abs(budget - want) / want, tol))
     return rows
+
+
+def _check_row(section: str, item: str, published, computed, err: float, tol: float) -> list:
+    return [section, item, published, computed, err, tol, "pass" if err <= tol else "FAIL"]
 
 
 def cmd_reproduce(args: argparse.Namespace) -> tuple[OutputRecord, int]:

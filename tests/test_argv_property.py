@@ -1,6 +1,8 @@
 """Any argv ends cleanly: exit 0-3, strict JSON or one ``error:`` line.
 
-At exit 0 or 1 neither a table nor csv prints a NaN or an infinity.
+At exit 0 or 1 neither a table nor csv prints a NaN or an infinity.  A
+``simulate`` argv that exits 3 after sampling names what only a sample can
+reveal; every other invalid input is rejected before the first trial.
 
 Draws argvs over all five subcommands, the three formats and generated
 catalog files, with flag values that are valid, zero, negative, huge
@@ -14,11 +16,13 @@ import contextlib
 import io
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pipegate import simulate as sim
 from pipegate.cli import main
 
 BENCHMARK = {"q25": 9.17, "median": 27.04, "q75": 74.5, "mean": 337.83, "prevalence": 0.38}
@@ -98,6 +102,10 @@ def catalog_files(tmp_path_factory):
     return paths
 
 
+# the only exit-3 messages that may follow sampling
+AFTER_SAMPLING = (f"error: {sim.NOTHING_SURVIVES}\n",
+                  "error: a result is not a finite number; inputs too large\n")
+
 # a NaN or infinity printed as a table or csv cell
 NON_FINITE = re.compile(r"(?<![\w.])-?(nan|inf|infinity)(?![\w.])", re.IGNORECASE)
 
@@ -118,13 +126,15 @@ def _not_strict_json(token):
 def test_any_argv_ends_cleanly(catalog_files, argv):
     argv = [re.sub(r"@([a-z-]+)", lambda m: str(catalog_files[m[1]]), a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.object(sim, "compare", wraps=sim.compare) as compare, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3)
     if code in (2, 3):
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        assert not compare.called or err in AFTER_SAMPLING, err
     elif argv[-1] == "--format=json":
         json.loads(out, parse_constant=_not_strict_json)
     else:

@@ -290,11 +290,37 @@ class TestSimulate:
     def test_invalid_config_exit_3(self, capsys):
         base = ("simulate", "--fpr-m", "0", "--pi", "0.38", "--n", "10", "--tau-v", "1",
                 "--tau-m", "0")
-        for extra in (("--tpr-m", "1.5"), ("--tpr-m", "0.5", "--precision-mode", "whatever")):
+        for extra, message in (
+            (("--tpr-m", "1.5"), "tpr must be in [0, 1], got 1.5"),
+            (("--tpr-m", "0.5", "--precision-mode", "whatever"), "argument --precision-mode"),
+            (("--tpr-m", "0.5", "--workers", "0"), "workers must be >= 1, got 0"),
+            (("--tpr-m", "0.5", "--workers", "-4"), "workers must be >= 1, got -4"),
+        ):
             code, out, err = run_cli(capsys, *base, *extra)
             assert code == 3
             assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    # every one of these is decided by the inputs alone, so no trial may run
+    @pytest.mark.parametrize("extra,message", [
+        (("--model", "VulDeePecker", "--tau-v", "0"),
+         "validator latency must be present and > 0"),
+        (("--model", "VulDeePecker", "--tau-v", "600", "--validator-tpr", "0"),
+         "validator recall must be > 0"),
+        (("--tpr-m", "0", "--fpr-m", "0.5", "--tau-v", "600", "--tau-m", "1"),
+         "precision must be > 0, got 0.0"),
+        (("--tpr-m", "0", "--fpr-m", "0", "--tau-v", "600", "--tau-m", "1"),
+         sim.NOTHING_SURVIVES),
+        (("--model", "VulDeePecker", "--tau-v", "1e307", "--tau-m", "1e307"),
+         "a pipeline figure is not a finite number; inputs too large"),
+    ], ids=["tau-v-0", "validator-tpr-0", "precision-0", "passes-nothing", "overflow"])
+    def test_rejected_before_sampling(self, capsys, monkeypatch, extra, message):
+        def compare(cfg, workers=1):
+            raise AssertionError("sampled a scenario the inputs already reject")
+
+        monkeypatch.setattr(sim, "compare", compare)
+        got = run_cli(capsys, "simulate", "--pi", "0.38", "--n", "1000", "--trials", "3", *extra)
+        assert got == (3, "", f"error: {message}\n")
 
     def test_single_trial_exit_3(self, capsys):
         # one trial has SE 0, so any sampling noise would read as a regression
@@ -343,9 +369,18 @@ class TestReproduce:
 
 
 class TestCliPlumbing:
-    def test_usage_error_exit_3(self, capsys):
+    def test_usage_error_exit_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "bounds", "--model", "VulDeePecker")
         assert code == 3
+        # a flag the command echoes is range-checked even when no figure reads it
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"models": []}))
+        for argv, message in (
+            (("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--delta-ratio", "-1"),
+             "dn_ratio must be >= 0, got -1.0"),
+            (("limits", "--catalog", str(empty), "--pi", "5"), "pi must be in [0, 1], got 5.0"),
+        ):
+            assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
 
     def test_table_format_uses_minutes_above_two_minutes(self, capsys):
         code, out, _ = run_cli(
