@@ -308,7 +308,7 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, bnd.Pipel
 
     Returns (simulated config, analytic config, inputs).  The analytic P_M
     is the published one under ``as-published`` with ``--model``, and the
-    precision at the generator's pi otherwise.
+    precision at the generator's pi otherwise; ``inputs`` echoes that mode.
     """
     inputs: dict = {}
     if args.model is not None:
@@ -352,7 +352,8 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, bnd.Pipel
     )
     if sim.expected_outcome(cfg)["survivors"] == 0:  # a screener that passes nothing
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
-    if args.precision_mode == PRECISION_AS_PUBLISHED and args.model is not None:
+    precision_mode = args.precision_mode if args.model is not None else PRECISION_CONSISTENT
+    if precision_mode == PRECISION_AS_PUBLISHED:
         p_m = scr.precision
     else:
         p_m = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
@@ -364,7 +365,7 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, bnd.Pipel
         "tau_m_seconds": tau_m, "tau_v_seconds": args.tau_v,
         "validator_tpr": args.validator_tpr,
         "trials": args.trials, "seed": args.seed, "workers": args.workers,
-        "precision_mode": args.precision_mode,
+        "precision_mode": precision_mode,
     })
     return cfg, pipeline, inputs
 
@@ -377,11 +378,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if probe is None:  # the screener can pass items, but no trial's did
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
 
-    results: dict = {"trials": outcome.trials, "empirical_verdict": outcome.verdict}
+    results: dict = {"trials": cfg.trials, "empirical_verdict": outcome.verdict}
     agree_all = True
     sds = sim.expected_sd(cfg)
     for key, expected in sim.expected_outcome(cfg).items():
-        stat = getattr(outcome, key)
+        stat = outcome.stats[key]
         delta = abs(stat.mean - expected)
         # few small trials can come out identical, with an empirical SE of 0;
         # the model's own SE keeps that sampling noise from reading as a regression

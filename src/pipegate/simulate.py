@@ -16,14 +16,17 @@ variates, then m validator variates; a baseline trial draws n labels, then n
 validator variates.  At validator recall 1 no validator variates are drawn:
 ``u < 1.0`` holds for every u in [0, 1), and they are the last draws of their
 stream, so every good item that reaches the validator counts without them
-and no other draw moves.  Each run is drawn in chunks of 8192 doubles (64 KiB)
-into one reused buffer.  Consecutive draws continue the Philox counter where
-the last stopped, so the chunks hold exactly the variates that one
-``random(m)`` call would return.
+and no other draw moves.
 
-Memory per worker thread is one bool mask of m items, reused across its
-trials, plus the 64 KiB chunk and two 8 KiB chunk masks.  Trials are
-dispatched as contiguous blocks, one per worker thread.
+Memory per worker thread is fixed, whatever n is: one 64 KiB chunk of 8192
+doubles and three 8 KiB chunk masks.  A trial makes one pass over its items,
+a chunk at a time, with up to three generators on its stream, each pointed
+at the offset where its kind of variate starts (labels at 0, screener at m,
+validator after both).  Philox is counter-based, so any offset is reached
+directly, and each generator's chunks hold exactly the variates that one
+``random(m)`` call from that offset would return: the draw layout above is
+unchanged.  Trials are dispatched as contiguous blocks, one per worker
+thread.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -51,7 +54,6 @@ from pipegate.metrics import MetricsError, _check_unit
 __all__ = [
     "SimConfig",
     "Stat",
-    "PipelineSamples",
     "SimOutcome",
     "run_baseline",
     "run_augmented",
@@ -96,7 +98,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         _check_unit("tpr", self.tpr_m)
         _check_unit("fpr", self.fpr_m)
-        _check_unit("tpr", self.r_v)
+        _check_unit("r_v", self.r_v)
         _check_unit("pi", self.pi, lo_open=True, hi_open=True)
         if self.n <= 0:
             raise MetricsError(f"n must be > 0, got {self.n}")
@@ -123,41 +125,16 @@ class Stat:
 
 
 @dataclass(frozen=True)
-class PipelineSamples:
-    """Per-trial observations for one pipeline variant.
+class SimOutcome:
+    """Summary of both pipelines' trials.
 
-    ``survivors`` and ``good_survivors`` count the screener's output and are
-    absent (None) for the baseline pipeline.
+    ``stats`` is keyed like :func:`expected_outcome`.  ``survivor_precision``
+    is the screener's precision from the same augmented trials; None when
+    the screener passed nothing in every trial.
     """
 
-    tp: np.ndarray
-    time: np.ndarray
-    survivors: np.ndarray | None = None
-    good_survivors: np.ndarray | None = None
-
-    def tp_stat(self) -> Stat:
-        return _summarize(self.tp)
-
-    def time_stat(self) -> Stat:
-        return _summarize(self.time)
-
-    def survivors_stat(self) -> Stat:
-        if self.survivors is None:
-            raise MetricsError("baseline pipeline has no screener survivors")
-        return _summarize(self.survivors)
-
-
-@dataclass(frozen=True)
-class SimOutcome:
-    baseline_tp: Stat
-    augmented_tp: Stat
-    baseline_time: Stat
-    augmented_time: Stat
-    survivors: Stat
+    stats: dict[str, Stat]
     verdict: str
-    trials: int
-    # Screener precision from the same augmented samples; None when the
-    # screener passed nothing in every trial.
     survivor_precision: Stat | None
 
 
@@ -167,7 +144,7 @@ def _pass_rate(cfg: SimConfig) -> float:
 
 
 def expected_outcome(cfg: SimConfig) -> dict[str, float]:
-    """Closed-form expectation of each ``SimOutcome`` statistic, by field name."""
+    """Closed-form expectation of each statistic in ``SimOutcome.stats``, by key."""
     m = cfg.n_total
     pass_rate = _pass_rate(cfg)
     return {
@@ -209,96 +186,83 @@ def _summarize(samples: np.ndarray) -> Stat:
 
 
 class _Worker:
-    """One worker thread's generator and buffers, reused by each of its trials.
+    """One worker thread's generators and buffers, reused by each of its trials.
 
-    Re-keying one Philox through its state gives the stream a fresh
+    Re-keying a Philox through its state gives the stream a fresh
     ``Philox(key=...)`` would, without constructing a generator per trial.
     """
 
-    def __init__(self, items: int) -> None:
+    def __init__(self) -> None:
         self._key = np.zeros(2, dtype=np.uint64)
+        self._counter = np.zeros(4, dtype=np.uint64)
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "state": {"counter": self._counter, "key": self._key},
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._philox = np.random.Philox(key=0)
-        self._rng = np.random.Generator(self._philox)
-        self._mask = np.empty(items, dtype=bool)
+        self._labels, self._screener, self._validator = (
+            np.random.Generator(np.random.Philox(key=0)) for _ in range(3)
+        )
         self._u = np.empty(_CHUNK, dtype=np.float64)
+        self._good = np.empty(_CHUNK, dtype=bool)
         self._passed = np.empty(_CHUNK, dtype=bool)
         self._hit = np.empty(_CHUNK, dtype=bool)
 
-    def start(self, seed: int, trial: int, stream: int) -> None:
-        """Point the generator at the start of this trial's stream."""
-        self._key[0] = seed
-        self._key[1] = (trial << 1) | stream
-        self._philox.state = self._state
+    def _point(self, rng: np.random.Generator, offset: int) -> np.random.Generator:
+        """Point ``rng`` at draw ``offset`` of the stream keyed in ``_key``.
 
-    def draws(self, items: int):
-        """Yield (item slice, its variates) for the next ``items`` draws."""
-        for lo in range(0, items, _CHUNK):
-            hi = min(lo + _CHUNK, items)
-            u = self._u[: hi - lo]
-            self._rng.random(out=u)
-            yield slice(lo, hi), u
-
-    def labels(self, pi: float, items: int) -> np.ndarray:
-        """Draw which of ``items`` patches are good, into the reused mask."""
-        good = self._mask[:items]
-        for s, u in self.draws(items):
-            np.less(u, pi, out=good[s])
-        return good
-
-    def screen(self, tpr: float, fpr: float, good: np.ndarray) -> int:
-        """Pass each item at its rate; ``good`` becomes the good survivors.
-
-        Returns the number of survivors, good or not.
+        Philox yields doubles in blocks of four, one counter step each: skip
+        the whole blocks, then draw and drop the rest.
         """
-        survivors = 0
-        for s, u in self.draws(good.size):
-            kept = good[s]
-            passed, hit = self._passed[: u.size], self._hit[: u.size]
-            np.less(u, fpr, out=passed)
-            np.greater(passed, kept, out=passed)  # bad items passed
-            np.less(u, tpr, out=hit)
-            kept &= hit
-            survivors += int(np.count_nonzero(passed)) + int(np.count_nonzero(kept))
-        return survivors
+        self._counter[0] = offset >> 2
+        rng.bit_generator.state = self._state
+        if offset & 3:
+            rng.random(out=self._u[: offset & 3])
+        return rng
 
-    def true_positives(self, tpr: float, good: np.ndarray) -> int:
-        """Good items the validator passes; its FPR never reaches this count."""
-        tp = 0
-        for s, u in self.draws(good.size):
-            hit = self._hit[: u.size]
-            np.less(u, tpr, out=hit)
-            hit &= good[s]
-            tp += int(np.count_nonzero(hit))
-        return tp
+    def trial(self, cfg: SimConfig, trial: int, stream: int) -> tuple[int, int, int]:
+        """One trial's (true positives, survivors, good survivors).
 
-
-def _trial(
-    cfg: SimConfig, trial: int, worker: _Worker, stream: int
-) -> tuple[float, float, float, float]:
-    """One trial's (true positives, time, survivors, good survivors).
-
-    The baseline stream skips the screener pass: all n items reach the
-    validator, and it charges no screener time.
-    """
-    worker.start(cfg.seed, trial, stream)
-    augmented = stream == _AUGMENTED_STREAM
-    m = cfg.n_total if augmented else cfg.n
-    good = worker.labels(cfg.pi, m)
-    survivors = worker.screen(cfg.tpr_m, cfg.fpr_m, good) if augmented else m
-    good_survivors = int(np.count_nonzero(good))
-    # at R_V = 1 the validator passes every good item: its variates, the
-    # stream's last, could change no count, so they are not drawn
-    tp = good_survivors if cfg.r_v == 1.0 else worker.true_positives(cfg.r_v, good)
-    tau_m = cfg.tau_m if augmented else 0.0
-    return float(tp), tau_m * m + cfg.tau_v * survivors, float(survivors), float(good_survivors)
+        The baseline stream has no screener: all n items reach the
+        validator, whose variates then start right after the labels.
+        """
+        self._key[0] = cfg.seed
+        self._key[1] = (trial << 1) | stream
+        augmented = stream == _AUGMENTED_STREAM
+        m = cfg.n_total if augmented else cfg.n
+        labels = self._point(self._labels, 0)
+        screener = self._point(self._screener, m) if augmented else None
+        # at R_V = 1 the validator passes every good item: its variates, the
+        # stream's last, could change no count, so they are not drawn
+        validator = None
+        if cfg.r_v < 1.0:
+            validator = self._point(self._validator, 2 * m if augmented else m)
+        bad_passed = good_survivors = tp = 0
+        for lo in range(0, m, _CHUNK):
+            size = min(_CHUNK, m - lo)
+            u, good = self._u[:size], self._good[:size]
+            passed, hit = self._passed[:size], self._hit[:size]
+            labels.random(out=u)
+            np.less(u, cfg.pi, out=good)
+            if screener is not None:
+                screener.random(out=u)
+                np.less(u, cfg.fpr_m, out=passed)
+                np.greater(passed, good, out=passed)  # bad items passed
+                bad_passed += int(np.count_nonzero(passed))
+                np.less(u, cfg.tpr_m, out=hit)
+                good &= hit
+            good_survivors += int(np.count_nonzero(good))
+            if validator is not None:
+                validator.random(out=u)
+                np.less(u, cfg.r_v, out=hit)
+                hit &= good
+                tp += int(np.count_nonzero(hit))
+        if validator is None:
+            tp = good_survivors
+        return tp, (bad_passed + good_survivors if augmented else m), good_survivors
 
 
 def _usable_cpus() -> int:
@@ -308,51 +272,58 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_trials(cfg: SimConfig, stream: int, workers: int) -> np.ndarray:
-    """Run every trial of one pipeline's stream into a (4, trials) array.
+def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarray]:
+    """Run every trial of one pipeline's stream; one row per statistic.
 
     Trials are split into at most ``workers`` contiguous blocks, one thread
     each, capped at the trial count and at the CPUs this process may use.
     Results land at their trial index, so the output is identical for any
-    worker count or completion order.
+    worker count or completion order.  Time is charged afterwards, tau_M
+    per item screened and tau_V per item reaching the validator.
     """
     trials = cfg.trials
-    out = np.empty((4, trials), dtype=np.float64)
+    try:
+        counts = np.empty((3, trials), dtype=np.float64)
+    except MemoryError:
+        raise MetricsError(f"trials={trials}: per-trial results do not fit in memory") from None
     threads = max(1, min(workers, trials, _usable_cpus()))
     blocks = [range(trials * i // threads, trials * (i + 1) // threads) for i in range(threads)]
 
     def work(block: range) -> None:
-        worker = _Worker(cfg.n_total)
+        worker = _Worker()
         for t in block:
-            out[:, t] = _trial(cfg, t, worker, stream)
+            counts[:, t] = worker.trial(cfg, t, stream)
 
     if threads == 1:
         work(blocks[0])
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, blocks))
-    return out
+    augmented = stream == _AUGMENTED_STREAM
+    m = cfg.n_total if augmented else cfg.n
+    tp, survivors, good_survivors = counts
+    time = (cfg.tau_m if augmented else 0.0) * m + cfg.tau_v * survivors
+    return {"tp": tp, "time": time, "survivors": survivors, "good_survivors": good_survivors}
 
 
-def run_baseline(cfg: SimConfig, workers: int = 1) -> PipelineSamples:
+def run_baseline(cfg: SimConfig, workers: int = 1) -> dict[str, np.ndarray]:
     """Validator-only pipeline over n patches, one row per trial."""
-    res = _map_trials(cfg, _BASELINE_STREAM, workers)
-    return PipelineSamples(tp=res[0], time=res[1])
+    return _map_trials(cfg, _BASELINE_STREAM, workers)
 
 
-def run_augmented(cfg: SimConfig, workers: int = 1) -> PipelineSamples:
+def run_augmented(cfg: SimConfig, workers: int = 1) -> dict[str, np.ndarray]:
     """Screener-then-validator pipeline over n + delta_n patches."""
-    res = _map_trials(cfg, _AUGMENTED_STREAM, workers)
-    return PipelineSamples(tp=res[0], time=res[1], survivors=res[2], good_survivors=res[3])
+    return _map_trials(cfg, _AUGMENTED_STREAM, workers)
 
 
-def _margin_verdict(b_tp: Stat, a_tp: Stat, b_t: Stat, a_t: Stat) -> str:
+def _margin_verdict(stats: dict[str, Stat]) -> str:
     """Empirical convenience verdict with a 3-standard-error guard band.
 
-    Takes the baseline and augmented true-positive and time statistics.
     Margins within 3 combined SEs of zero cannot be distinguished from the
     boundary, so the verdict is inconclusive rather than a coin flip.
     """
+    b_tp, a_tp = stats["baseline_tp"], stats["augmented_tp"]
+    b_t, a_t = stats["baseline_time"], stats["augmented_time"]
     tp_margin = a_tp.mean - b_tp.mean
     tp_band = 3.0 * float(np.hypot(a_tp.se, b_tp.se))
     time_margin = b_t.mean - a_t.mean  # positive = time saved
@@ -368,21 +339,15 @@ def compare(cfg: SimConfig, workers: int = 1) -> SimOutcome:
     """Run both pipelines on independent streams and compare them."""
     base = run_baseline(cfg, workers=workers)
     aug = run_augmented(cfg, workers=workers)
-    b_tp, a_tp = base.tp_stat(), aug.tp_stat()
-    b_t, a_t = base.time_stat(), aug.time_stat()
-    return SimOutcome(
-        baseline_tp=b_tp,
-        augmented_tp=a_tp,
-        baseline_time=b_t,
-        augmented_time=a_t,
-        survivors=aug.survivors_stat(),
-        verdict=_margin_verdict(b_tp, a_tp, b_t, a_t),
-        trials=cfg.trials,
-        survivor_precision=_survivor_precision(aug),
-    )
-
-
-def _survivor_precision(aug: PipelineSamples) -> Stat | None:
-    """Mean and SE of good survivors / survivors over the trials with survivors."""
-    some = aug.survivors > 0
-    return _summarize(aug.good_survivors[some] / aug.survivors[some]) if some.any() else None
+    stats = {
+        "baseline_tp": _summarize(base["tp"]),
+        "augmented_tp": _summarize(aug["tp"]),
+        "baseline_time": _summarize(base["time"]),
+        "augmented_time": _summarize(aug["time"]),
+        "survivors": _summarize(aug["survivors"]),
+    }
+    # good survivors / survivors, over the trials whose screener passed any
+    some = aug["survivors"] > 0
+    precision = (_summarize(aug["good_survivors"][some] / aug["survivors"][some])
+                 if some.any() else None)
+    return SimOutcome(stats=stats, verdict=_margin_verdict(stats), survivor_precision=precision)

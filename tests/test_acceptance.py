@@ -214,7 +214,7 @@ def test_criterion_5_oracle_equivalence():
             # the CLI's expectations must be the same as this hand-written reference
             assert sim.expected_outcome(cfg) == pytest.approx(expected, rel=1e-12)
             for key, value in expected.items():
-                stat = getattr(outcome, key)
+                stat = outcome.stats[key]
                 delta = abs(stat.mean - value)
                 if not (delta <= 3 * stat.se or delta == 0.0):
                     mismatches.append((record.name, key, stat.mean, value, stat.se))
@@ -227,9 +227,10 @@ def test_criterion_5_oracle_equivalence():
                 dn / n,
             )
             tp_margin = abs(analytic.augmented_tp - analytic.baseline_tp)
-            tp_band = 3 * np.hypot(outcome.augmented_tp.se, outcome.baseline_tp.se)
+            stats = outcome.stats
+            tp_band = 3 * np.hypot(stats["augmented_tp"].se, stats["baseline_tp"].se)
             time_margin = abs(analytic.augmented_time - analytic.baseline_time)
-            time_band = 3 * np.hypot(outcome.augmented_time.se, outcome.baseline_time.se)
+            time_band = 3 * np.hypot(stats["augmented_time"].se, stats["baseline_time"].se)
             if tp_margin > tp_band and time_margin > time_band:
                 verdict_checks += 1
                 if analytic.verdict != outcome.verdict:

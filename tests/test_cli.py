@@ -6,6 +6,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ from pipegate import simulate as sim
 from pipegate.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "output_schema.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -295,6 +300,7 @@ class TestSimulate:
             (("--tpr-m", "0.5", "--precision-mode", "whatever"), "argument --precision-mode"),
             (("--tpr-m", "0.5", "--workers", "0"), "workers must be >= 1, got 0"),
             (("--tpr-m", "0.5", "--workers", "-4"), "workers must be >= 1, got -4"),
+            (("--tpr-m", "0.5", "--validator-tpr", "1.5"), "r_v must be in [0, 1], got 1.5"),
         ):
             code, out, err = run_cli(capsys, *base, *extra)
             assert code == 3
@@ -321,6 +327,40 @@ class TestSimulate:
         monkeypatch.setattr(sim, "compare", compare)
         got = run_cli(capsys, "simulate", "--pi", "0.38", "--n", "1000", "--trials", "3", *extra)
         assert got == (3, "", f"error: {message}\n")
+
+    def test_unallocatable_trials_exit_3(self):
+        # 10**12 trials of per-trial rows cannot be allocated; a fresh
+        # interpreter under an address-space limit keeps that from touching
+        # this process or depending on the machine's overcommit policy
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        limit = 2 * 1024**3
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        argv = ("simulate --model VulDeePecker --pi 0.38 --tau-v 600 --n 100"
+                " --trials 1000000000000").split()
+        done = subprocess.run(
+            [sys.executable, "-m", "pipegate.cli", *argv], env=env, capture_output=True,
+            text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            "error: trials=1000000000000: per-trial results do not fit in memory\n"
+        )
+
+    def test_echoes_precision_mode_used(self, capsys):
+        # without --model there is no published P_M: the consistent one is used
+        code, doc, _ = run_json(
+            capsys, "simulate", "--tpr-m", "0.8", "--fpr-m", "0.3", "--pi", "0.2",
+            "--n", "1000", "--trials", "5", "--tau-v", "5", "--tau-m", "1",
+        )
+        assert code == 0
+        assert doc["inputs"]["precision_mode"] == "prevalence-consistent"
+        code, doc, _ = run_json(capsys, *self.ARGS)
+        assert doc["inputs"]["precision_mode"] == "as-published"
 
     def test_single_trial_exit_3(self, capsys):
         # one trial has SE 0, so any sampling noise would read as a regression

@@ -1,16 +1,20 @@
 """Monte Carlo oracle: determinism, unbiasedness, coupling, time accounting."""
 
 import dataclasses
+import json
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from pipegate import simulate
+from pipegate.cli import main
 from pipegate.metrics import MetricsError, precision_at_prevalence
 from pipegate.simulate import (
     VERDICT_INCONCLUSIVE,
     SimConfig,
+    _summarize,
     compare,
     run_augmented,
     run_baseline,
@@ -50,7 +54,7 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         a = compare(make_config(seed=1))
         b = compare(make_config(seed=2))
-        assert a.baseline_tp.mean != b.baseline_tp.mean
+        assert a.stats["baseline_tp"].mean != b.stats["baseline_tp"].mean
 
     def test_baseline_and_augmented_streams_independent(self):
         cfg = make_config(delta_n=0, tau_m=0.0, tpr_m=1.0, fpr_m=1.0)
@@ -58,7 +62,7 @@ class TestDeterminism:
         aug = run_augmented(cfg)
         # pass-through screener over the same n: per-trial TPs come from
         # different streams, so they should not be identical trial by trial
-        assert not np.array_equal(base.tp, aug.tp)
+        assert not np.array_equal(base["tp"], aug["tp"])
 
 
 def single_shot_trial(cfg, trial, stream):
@@ -98,19 +102,36 @@ class TestChunkedKernel:
             aug = run_augmented(cfg, workers=workers)
             for t in range(cfg.trials):
                 tp, _, _ = single_shot_trial(cfg, t, simulate._BASELINE_STREAM)
-                assert base.tp[t] == tp, r_v
+                assert base["tp"][t] == tp, r_v
                 tp, surv, good_surv = single_shot_trial(cfg, t, simulate._AUGMENTED_STREAM)
-                got = (aug.tp[t], aug.survivors[t], aug.good_survivors[t])
+                got = (aug["tp"][t], aug["survivors"][t], aug["good_survivors"][t])
                 assert got == (tp, surv, good_surv), r_v
 
     def test_validator_pass_skipped_only_at_full_recall(self, monkeypatch):
-        def forbidden(self, tpr, good):
-            raise AssertionError("validator pass drawn")
+        point = simulate._Worker._point
 
-        monkeypatch.setattr(simulate._Worker, "true_positives", forbidden)
+        def guarded(self, rng, offset):
+            if rng is self._validator:
+                raise AssertionError("validator pass drawn")
+            return point(self, rng, offset)
+
+        monkeypatch.setattr(simulate._Worker, "_point", guarded)
         compare(make_config(n=100, delta_n=10, trials=3))
         with pytest.raises(AssertionError, match="validator pass drawn"):
             compare(make_config(n=100, delta_n=10, trials=3, r_v=0.9))
+
+    @pytest.mark.parametrize("n", [2**10, 2**20])
+    def test_memory_does_not_grow_with_n(self, n):
+        # a worker holds fixed chunk buffers, never a buffer of n items
+        cfg = make_config(n=n, delta_n=0, trials=2, r_v=0.9)
+        run_augmented(make_config(n=10, trials=2))  # one-time module set-up, untraced
+        tracemalloc.start()
+        try:
+            run_augmented(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_pool_capped_at_trials_and_cpus(self, monkeypatch):
         sizes = []
@@ -133,27 +154,26 @@ class TestChunkedKernel:
 class TestBaseline:
     def test_tp_mean_matches_binomial_expectation(self):
         cfg = make_config(n=100_000, trials=100, r_v=1.0)
-        base = run_baseline(cfg)
-        stat = base.tp_stat()
+        stat = _summarize(run_baseline(cfg)["tp"])
         assert abs(stat.mean - 38_000) <= 3 * stat.se
 
     def test_zero_recall_validator(self):
         cfg = make_config(r_v=0.0)
         base = run_baseline(cfg)
-        assert np.all(base.tp == 0)
+        assert np.all(base["tp"] == 0)
 
     def test_time_is_deterministic(self):
         cfg = make_config(n=100_000, tau_v=9.17)
         base = run_baseline(cfg)
-        assert np.all(base.time == 100_000 * 9.17)
-        assert base.time_stat().se == 0.0
+        assert np.all(base["time"] == 100_000 * 9.17)
+        assert _summarize(base["time"]).se == 0.0
 
 
 class TestAugmented:
     def test_means_match_expectations(self):
         cfg = make_config(n=100_000, delta_n=0, trials=100)
         aug = run_augmented(cfg)
-        tp_stat, surv_stat = aug.tp_stat(), aug.survivors_stat()
+        tp_stat, surv_stat = _summarize(aug["tp"]), _summarize(aug["survivors"])
         assert abs(tp_stat.mean - 36_100) <= 3 * tp_stat.se
         assert abs(surv_stat.mean - 46_020) <= 3 * surv_stat.se
 
@@ -161,30 +181,29 @@ class TestAugmented:
         cfg = make_config(delta_n=0, tau_m=0.0, tpr_m=1.0, fpr_m=0.0)
         base = run_baseline(cfg)
         aug = run_augmented(cfg)
-        assert abs(aug.tp_stat().mean - base.tp_stat().mean) <= 3 * np.hypot(
-            aug.tp_stat().se, base.tp_stat().se
-        )
-        assert np.all(aug.time <= base.time)
+        base_tp, aug_tp = _summarize(base["tp"]), _summarize(aug["tp"])
+        assert abs(aug_tp.mean - base_tp.mean) <= 3 * np.hypot(aug_tp.se, base_tp.se)
+        assert np.all(aug["time"] <= base["time"])
 
     def test_pass_through_screener(self):
         cfg = make_config(tpr_m=1.0, fpr_m=1.0)
         aug = run_augmented(cfg)
         m = cfg.n_total
-        assert np.all(aug.survivors == m)
-        assert np.all(aug.time == (cfg.tau_m + cfg.tau_v) * m)
+        assert np.all(aug["survivors"] == m)
+        assert np.all(aug["time"] == (cfg.tau_m + cfg.tau_v) * m)
 
     def test_time_accounting_identity(self):
         cfg = make_config()
         aug = run_augmented(cfg)
-        expected = cfg.tau_m * cfg.n_total + cfg.tau_v * aug.survivors
-        np.testing.assert_array_equal(aug.time, expected)
+        expected = cfg.tau_m * cfg.n_total + cfg.tau_v * aug["survivors"]
+        np.testing.assert_array_equal(aug["time"], expected)
 
     def test_monotone_coupling_in_screener_tpr(self):
         # common random numbers: a better screener never loses a TP
         lo = run_augmented(make_config(tpr_m=0.6, fpr_m=0.16))
         hi = run_augmented(make_config(tpr_m=0.9, fpr_m=0.16))
-        assert np.all(hi.tp >= lo.tp)
-        assert np.all(hi.good_survivors >= lo.good_survivors)
+        assert np.all(hi["tp"] >= lo["tp"])
+        assert np.all(hi["good_survivors"] >= lo["good_survivors"])
 
 
 class TestCompare:
@@ -212,9 +231,16 @@ class TestCompare:
         outcome = compare(cfg)
         assert outcome.verdict == VERDICT_INCONCLUSIVE
 
-    def test_trials_recorded(self):
-        outcome = compare(make_config(trials=13))
-        assert outcome.trials == 13
+    def test_trials_recorded(self, capsys):
+        cfg = make_config(n=1000, delta_n=60, trials=13)
+        for run in (run_baseline, run_augmented):
+            assert all(row.shape == (cfg.trials,) for row in run(cfg).values())
+        code = main(["simulate", "--tpr-m", str(cfg.tpr_m), "--fpr-m", str(cfg.fpr_m),
+                     "--pi", str(cfg.pi), "--n", str(cfg.n), "--delta-ratio", "0.06",
+                     "--tau-m", str(cfg.tau_m), "--tau-v", str(cfg.tau_v),
+                     "--trials", str(cfg.trials), "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["results"]["trials"] == cfg.trials
 
 
 class TestSurvivorPrecisionProbe:
@@ -258,8 +284,8 @@ class TestConfigValidation:
             ("tpr_m", -0.1, r"tpr must be in \[0, 1\], got -0.1"),
             ("fpr_m", 1.5, r"fpr must be in \[0, 1\], got 1.5"),
             ("fpr_m", -0.1, r"fpr must be in \[0, 1\], got -0.1"),
-            ("r_v", 1.5, r"tpr must be in \[0, 1\], got 1.5"),
-            ("r_v", -0.1, r"tpr must be in \[0, 1\], got -0.1"),
+            ("r_v", 1.5, r"r_v must be in \[0, 1\], got 1.5"),
+            ("r_v", -0.1, r"r_v must be in \[0, 1\], got -0.1"),
         ]:
             with pytest.raises(MetricsError, match=message):
                 make_config(**{field: value})
