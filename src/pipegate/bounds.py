@@ -36,10 +36,6 @@ __all__ = [
     "VERDICT_CONVENIENT",
     "VERDICT_NOT_CONVENIENT",
     "VERDICT_BOUNDARY",
-    "baseline_tp",
-    "baseline_time",
-    "augmented_time",
-    "augmented_tp",
     "min_extra_ratio",
     "max_model_time",
     "min_validator_time",
@@ -114,49 +110,6 @@ def _check_screener(r_m: float, p_m: float, pi: float) -> None:
     _check_unit("pi", pi, lo_open=True, hi_open=True)
 
 
-def baseline_tp(pi: float, n: float, r_v: float) -> float:
-    """Expected true patches surviving the validator alone: R_V * pi * n."""
-    _check_unit("pi", pi, lo_open=True, hi_open=True)
-    _check_unit("r_v", r_v)
-    if n < 0:
-        raise MetricsError(f"n must be >= 0, got {n}")
-    return r_v * pi * n
-
-
-def baseline_time(n: float, tau_v: float) -> float:
-    """Time to validate n patches without a screener: n * tau_V."""
-    if n < 0:
-        raise MetricsError(f"n must be >= 0, got {n}")
-    if tau_v < 0:
-        raise MetricsError(f"tau_v must be >= 0, got {tau_v}")
-    return n * tau_v
-
-
-def augmented_time(
-    pi: float, n_total: float, tau_m: float, tau_v: float, r_m: float, p_m: float
-) -> float:
-    """Screener over everything plus validator over survivors.
-
-    (tau_M + tau_V * (R_M/P_M) * pi) * n_total
-    """
-    if tau_m < 0 or tau_v < 0:
-        raise MetricsError("latencies must be >= 0")
-    _check_screener(r_m, p_m, pi)
-    if n_total < 0:
-        raise MetricsError(f"n_total must be >= 0, got {n_total}")
-    return (tau_m + tau_v * (r_m / p_m) * pi) * n_total
-
-
-def augmented_tp(pi: float, n_total: float, r_m: float, r_v: float) -> float:
-    """Expected true patches surviving both filters: R_V * R_M * pi * n_total."""
-    _check_unit("pi", pi, lo_open=True, hi_open=True)
-    _check_unit("r_m", r_m)
-    _check_unit("r_v", r_v)
-    if n_total < 0:
-        raise MetricsError(f"n_total must be >= 0, got {n_total}")
-    return r_v * r_m * pi * n_total
-
-
 def min_extra_ratio(r_m: float) -> float:
     """Minimum dn/n keeping baseline throughput: 1/R_M - 1."""
     if not (0 < r_m <= 1):
@@ -212,9 +165,12 @@ def _leq(a: float, b: float) -> tuple[bool, bool]:
 def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
     """Full convenience check of one scenario at a chosen extra-volume ratio.
 
-    Verdict is ``convenient`` iff throughput does not drop and time does not
-    grow, with at least one strict; ties within 1e-9 relative on both give
-    ``boundary``.  ``binding`` names the violated (or tying) constraint.
+    The report carries the four expected figures over N = n*(1 + dn_ratio):
+    true patches R_V*pi*n and R_V*R_M*pi*N, times n*tau_V and
+    (tau_M + tau_V*(R_M/P_M)*pi)*N.  Verdict is ``convenient`` iff
+    throughput does not drop and time does not grow, with at least one
+    strict; ties within 1e-9 relative on both give ``boundary``.
+    ``binding`` names the violated (or tying) constraint.
     Finite inputs whose figures overflow raise: two infinite times tie, so
     any verdict drawn from them would be false.
     """
@@ -222,10 +178,10 @@ def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
         raise MetricsError(f"dn_ratio must be >= 0, got {dn_ratio}")
     c = config
     n_total = c.n * (1.0 + dn_ratio)
-    base_tp = baseline_tp(c.pi, c.n, c.r_v)
-    base_time = baseline_time(c.n, c.tau_v)
-    aug_tp = augmented_tp(c.pi, n_total, c.r_m, c.r_v)
-    aug_time = augmented_time(c.pi, n_total, c.tau_m, c.tau_v, c.r_m, c.p_m)
+    base_tp = c.r_v * c.pi * c.n
+    base_time = c.n * c.tau_v
+    aug_tp = c.r_v * c.r_m * c.pi * n_total
+    aug_time = (c.tau_m + c.tau_v * (c.r_m / c.p_m) * c.pi) * n_total
     if not all(math.isfinite(x) for x in (base_tp, aug_tp, base_time, aug_time)):
         raise MetricsError("a pipeline figure is not a finite number; inputs too large")
 

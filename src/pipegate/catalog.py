@@ -310,8 +310,12 @@ def load_catalog(path: str | Path) -> Catalog:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise CatalogError(f"{path}: cannot read ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: cannot read (not UTF-8: {exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CatalogError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise CatalogError(f"{path}: top level must be an object")
     unknown = set(doc) - {"models", "benchmark"}

@@ -165,7 +165,7 @@ def render(record: OutputRecord, fmt: str) -> str:
 
 def _resolve_catalog(path_flag: str | None) -> cat.Catalog:
     path = path_flag or os.environ.get(CATALOG_ENV_VAR)
-    if path is None:
+    if not path:
         return cat.builtin_catalog()
     return cat.load_catalog(path)
 

@@ -6,7 +6,7 @@ and the three rates derived from them.  Two less common pieces:
 * ``bayes_fpr`` reconstructs a false-positive rate that a model's authors did
   not report, from the precision, recall and dataset prevalence they did
   report.
-* the ``invert_detector_*`` family converts the published metrics of a
+* ``invert_detector`` converts the published metrics of a
   vulnerability *detector* (positive class = vulnerable) into the metrics of
   the same model used in reverse as a good-patch *screener* (positive class =
   good patch).  Flipping the labels swaps TP with TN and FP with FN, and the
@@ -24,8 +24,6 @@ __all__ = [
     "EPS_CONSISTENCY",
     "bayes_fpr",
     "invert_detector_precision",
-    "invert_detector_recall",
-    "invert_detector_fpr",
     "precision_at_prevalence",
     "invert_detector",
 ]
@@ -146,18 +144,6 @@ def invert_detector_precision(p_mvd: float, r_mvd: float, far_mvd: float) -> flo
     return 1.0 / (1.0 + ratio)
 
 
-def invert_detector_recall(far_mvd: float) -> float:
-    """Screener recall = 1 - detector FPR (good patches the detector clears)."""
-    _check_unit("far_mvd", far_mvd)
-    return 1.0 - far_mvd
-
-
-def invert_detector_fpr(r_mvd: float) -> float:
-    """Screener FPR = 1 - detector recall (bad patches the detector misses)."""
-    _check_unit("r_mvd", r_mvd)
-    return 1.0 - r_mvd
-
-
 def precision_at_prevalence(tpr: float, fpr: float, pi: float) -> float:
     """Bayes' rule: precision of a (tpr, fpr) classifier at prevalence pi."""
     _check_unit("tpr", tpr)
@@ -181,7 +167,7 @@ def invert_detector(detector: ClassifierSpec) -> ClassifierSpec:
         raise MetricsError("detector fpr is required; complete it via bayes_fpr first")
     return ClassifierSpec(
         precision=invert_detector_precision(detector.precision, detector.recall, detector.fpr),
-        recall=invert_detector_recall(detector.fpr),
-        fpr=invert_detector_fpr(detector.recall),
+        recall=1.0 - detector.fpr,
+        fpr=1.0 - detector.recall,
         latency=detector.latency,
     )

@@ -42,13 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pipegate.bounds import (
-    VERDICT_CONVENIENT,
-    VERDICT_NOT_CONVENIENT,
-    augmented_tp,
-    baseline_time,
-    baseline_tp,
-)
+from pipegate.bounds import VERDICT_CONVENIENT, VERDICT_NOT_CONVENIENT
 from pipegate.metrics import MetricsError, _check_unit
 
 __all__ = [
@@ -148,9 +142,9 @@ def expected_outcome(cfg: SimConfig) -> dict[str, float]:
     m = cfg.n_total
     pass_rate = _pass_rate(cfg)
     return {
-        "baseline_tp": baseline_tp(cfg.pi, cfg.n, cfg.r_v),
-        "augmented_tp": augmented_tp(cfg.pi, m, cfg.tpr_m, cfg.r_v),
-        "baseline_time": baseline_time(cfg.n, cfg.tau_v),
+        "baseline_tp": cfg.r_v * cfg.pi * cfg.n,
+        "augmented_tp": cfg.r_v * cfg.tpr_m * cfg.pi * m,
+        "baseline_time": cfg.n * cfg.tau_v,
         "augmented_time": cfg.tau_m * m + cfg.tau_v * pass_rate * m,
         "survivors": pass_rate * m,
     }

@@ -48,9 +48,12 @@ CATALOGS = {
 # subcommand -> flag -> (good values, odd values); None leaves the flag out.
 # Each argv gives odd values to at most two flags, so most reach deep code.
 ODD = [None, "0", "-1", "1e300", "-1e300", "1e308", "-1e308", "1e-320", "abc", ""]
-CATALOG = ([None, "@valid"], [f"@{kind}" for kind in [*CATALOGS, "broken", "missing"]])
+# files that are not JSON documents at all, by their raw bytes
+UNPARSEABLE = {"broken": b"{", "binary": b"\xff\xfe", "deeply-nested": b"[" * 100_000}
+CATALOG = ([None, "@valid"], [f"@{kind}" for kind in [*CATALOGS, *UNPARSEABLE, "missing"]])
 MODEL = (["VulDeePecker", "CodeJIT RGCN", "IVDetect on ReVeal", "@valid"],
-         [None, "LineVul", "Gen", "Gen 2", "nope", "@perfect-precision", "@missing"])
+         [None, "LineVul", "Gen", "Gen 2", "nope", "@perfect-precision", "@binary",
+          "@deeply-nested", "@missing"])
 PI = (["0.38", "0.06", "0.9"], ODD)
 TAU_V = (["600", "27.04", "1.5"], ODD)
 TAU_M = ([None, "156", "1.5", "0.1"], ODD)
@@ -94,8 +97,10 @@ def argvs(draw):
 @pytest.fixture(scope="module")
 def catalog_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("catalogs")
-    paths = {"missing": root / "missing.json", "broken": root / "broken.json"}
-    paths["broken"].write_text("{")
+    paths = {"missing": root / "missing.json"}
+    for kind, content in UNPARSEABLE.items():
+        paths[kind] = root / f"{kind}.json"
+        paths[kind].write_bytes(content)
     for kind, doc in CATALOGS.items():
         paths[kind] = root / f"{kind}.json"
         paths[kind].write_text(json.dumps(doc))

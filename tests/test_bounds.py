@@ -10,10 +10,6 @@ from pipegate.bounds import (
     VERDICT_CONVENIENT,
     VERDICT_NOT_CONVENIENT,
     PipelineConfig,
-    augmented_time,
-    augmented_tp,
-    baseline_time,
-    baseline_tp,
     evaluate,
     max_model_time,
     min_extra_ratio,
@@ -25,41 +21,43 @@ VDP_P_M = invert_detector_precision(0.87, 0.84, 0.05)  # 0.93713
 VDP_R_M = 0.95
 
 
+def figures(pi=0.38, n=100, r_v=1.0, tau_v=1.0, p_m=1.0, r_m=1.0, tau_m=0.0, dn_ratio=0.0):
+    """The four expected pipeline figures, as ``evaluate`` reports them."""
+    return evaluate(PipelineConfig(pi, n, r_v, tau_v, p_m, r_m, tau_m), dn_ratio)
+
+
 class TestThroughput:
     def test_baseline_tp(self):
-        assert baseline_tp(0.38, 100, 1.0) == pytest.approx(38.0)
+        assert figures(0.38, 100, 1.0).baseline_tp == pytest.approx(38.0)
         # 30 observed correct patches out of 78 generated
-        assert baseline_tp(0.38, 78, 1.0) == pytest.approx(29.64)
-        assert round(baseline_tp(0.38, 78, 1.0)) == 30
-        assert baseline_tp(0.29, 1000, 0.5) == pytest.approx(145.0)
+        assert figures(0.38, 78, 1.0).baseline_tp == pytest.approx(29.64)
+        assert round(figures(0.38, 78, 1.0).baseline_tp) == 30
+        assert figures(0.29, 1000, 0.5).baseline_tp == pytest.approx(145.0)
 
     def test_baseline_time(self):
-        assert baseline_time(100, 9.17) == pytest.approx(917.0)
-        assert baseline_time(0, 123.0) == 0.0
-        assert baseline_time(10, 337.83) == pytest.approx(3378.3)
+        assert figures(n=100, tau_v=9.17).baseline_time == pytest.approx(917.0)
+        assert figures(n=10, tau_v=337.83).baseline_time == pytest.approx(3378.3)
 
     def test_augmented_tp(self):
-        boundary_n = 100 * (1 + min_extra_ratio(VDP_R_M))
-        assert augmented_tp(0.38, boundary_n, VDP_R_M, 1.0) == pytest.approx(
-            baseline_tp(0.38, 100, 1.0)
-        )
-        assert augmented_tp(0.4, 50, 1.0, 0.9) == pytest.approx(baseline_tp(0.4, 50, 0.9))
-        assert augmented_tp(0.5, 10, 0.5, 0.5) == pytest.approx(1.25)
+        # at dn/n = 1/R_M - 1 the screened pipeline keeps the baseline throughput
+        report = figures(0.38, 100, 1.0, r_m=VDP_R_M, dn_ratio=min_extra_ratio(VDP_R_M))
+        assert report.augmented_tp == pytest.approx(report.baseline_tp)
+        report = figures(0.4, 50, 0.9, r_m=1.0)
+        assert report.augmented_tp == pytest.approx(report.baseline_tp)
+        assert figures(0.5, 10, 0.5, r_m=0.5).augmented_tp == pytest.approx(1.25)
 
     def test_augmented_time(self):
-        assert augmented_time(0.38, 100, 0.0, 10.0, 1.0, 1.0) == pytest.approx(380.0)
-        assert augmented_time(0.5, 0, 1.0, 1.0, 0.5, 0.5) == 0.0
+        report = figures(0.38, 100, tau_v=10.0, p_m=1.0, r_m=1.0, tau_m=0.0)
+        assert report.augmented_time == pytest.approx(380.0)
         # frozen arithmetic: (156 + 273.6*(R_M/P_M)*0.38) * 105.26
         expect = (156 + 273.6 * (VDP_R_M / VDP_P_M) * 0.38) * 105.26
-        assert augmented_time(0.38, 105.26, 156, 273.6, VDP_R_M, VDP_P_M) == pytest.approx(
-            expect, rel=1e-12
-        )
+        report = figures(0.38, 105.26, tau_v=273.6, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=156)
+        assert report.augmented_time == pytest.approx(expect, rel=1e-12)
         # at the true break-even validator time the pipelines tie exactly
         floor = min_validator_time(156, VDP_R_M, VDP_P_M, 0.38)
-        n_total = 100 / VDP_R_M
-        assert augmented_time(0.38, n_total, 156, floor, VDP_R_M, VDP_P_M) == pytest.approx(
-            baseline_time(100, floor), rel=1e-12
-        )
+        report = figures(0.38, 100, tau_v=floor, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=156,
+                         dn_ratio=min_extra_ratio(VDP_R_M))
+        assert report.augmented_time == pytest.approx(report.baseline_time, rel=1e-12)
 
 
 class TestBoundsFormulas:

@@ -153,6 +153,16 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="bad.json: invalid JSON at line 2"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff\xfe", r"cannot read \(not UTF-8: invalid start byte at byte 0\)"),
+        (b"[" * 100_000, "invalid JSON: nested too deeply"),
+    ], ids=["not-utf8", "deep-nesting"])
+    def test_unparseable_file_names_path(self, tmp_path, content, message):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_catalog(path)
+
     def test_duplicate_names(self, tmp_path):
         doc = {"models": [VALID_DOC["models"][0], VALID_DOC["models"][0]]}
         with pytest.raises(CatalogError, match="duplicate model name: 'LineVul'"):

@@ -444,6 +444,13 @@ class TestCliPlumbing:
         code, _, _ = run_cli(capsys, "invert", "--model", "VulDeePecker")
         assert code == 2
 
+    def test_empty_env_var_means_unset(self, capsys, monkeypatch):
+        monkeypatch.delenv("PIPEGATE_CATALOG", raising=False)
+        unset = run_cli(capsys, "invert", "--model", "VulDeePecker")
+        monkeypatch.setenv("PIPEGATE_CATALOG", "")
+        assert run_cli(capsys, "invert", "--model", "VulDeePecker") == unset
+        assert unset[0] == 0
+
     def test_bad_catalog_exit_3(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")

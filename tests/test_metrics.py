@@ -14,9 +14,7 @@ from pipegate.metrics import (
     _check_unit,
     bayes_fpr,
     invert_detector,
-    invert_detector_fpr,
     invert_detector_precision,
-    invert_detector_recall,
     precision_at_prevalence,
 )
 from reference import ConfusionCounts, counts_from_rates, swap_labels
@@ -131,12 +129,13 @@ class TestDetectorInversion:
             invert_detector_precision(1.0, 0.5, 0.1)
 
     def test_recall_and_fpr(self):
-        assert invert_detector_recall(0.05) == 0.95
-        assert invert_detector_recall(0.0) == 1.0
-        assert invert_detector_recall(0.11) == pytest.approx(0.89)
-        assert invert_detector_fpr(0.84) == pytest.approx(0.16)
-        assert invert_detector_fpr(1.0) == 0.0
-        assert invert_detector_fpr(0.14) == pytest.approx(0.86)
+        # screener recall is 1 - detector FPR, screener FPR 1 - detector recall
+        assert invert_detector(ClassifierSpec(0.87, 0.84, 0.05)).recall == 0.95
+        assert invert_detector(ClassifierSpec(0.5, 0.7, 0.0)).recall == 1.0
+        assert invert_detector(ClassifierSpec(0.11, 0.14, 0.11)).recall == pytest.approx(0.89)
+        assert invert_detector(ClassifierSpec(0.87, 0.84, 0.05)).fpr == pytest.approx(0.16)
+        assert invert_detector(ClassifierSpec(0.5, 1.0, 0.3)).fpr == 0.0
+        assert invert_detector(ClassifierSpec(0.11, 0.14, 0.11)).fpr == pytest.approx(0.86)
 
     @given(r=rates, far=rates, pi=prevalences, total=st.floats(min_value=1, max_value=1e6))
     @settings(max_examples=300)
@@ -148,8 +147,9 @@ class TestDetectorInversion:
         assert invert_detector_precision(implied_p, r, far) == pytest.approx(
             swapped.precision, abs=1e-12
         )
-        assert invert_detector_recall(far) == pytest.approx(swapped.recall, abs=1e-12)
-        assert invert_detector_fpr(r) == pytest.approx(swapped.fpr, abs=1e-12)
+        screener = invert_detector(ClassifierSpec(implied_p, r, far))
+        assert screener.recall == pytest.approx(swapped.recall, abs=1e-12)
+        assert screener.fpr == pytest.approx(swapped.fpr, abs=1e-12)
 
 
 class TestPrecisionAtPrevalence:

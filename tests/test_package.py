@@ -29,7 +29,25 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     assert loaded == "[]"
 
 
-@pytest.mark.parametrize("name", ["metrics", "bounds", "catalog", "simulate", "cli"])
+# each module's public surface, pinned so that adding or dropping a name is a visible change
+PUBLIC = {
+    "metrics": ["MetricsError", "ClassifierSpec", "EPS_CONSISTENCY", "bayes_fpr",
+                "invert_detector_precision", "precision_at_prevalence", "invert_detector"],
+    "bounds": ["PipelineConfig", "ModelTimeBudget", "BoundsReport", "VERDICT_CONVENIENT",
+               "VERDICT_NOT_CONVENIENT", "VERDICT_BOUNDARY", "min_extra_ratio",
+               "max_model_time", "min_validator_time", "evaluate"],
+    "catalog": ["CatalogError", "UnknownModelError", "FPR_REPORTED", "FPR_BAYES",
+                "LATENCY_REPORTED", "LATENCY_LOWER_BOUND", "LATENCY_UNKNOWN", "ModelRecord",
+                "BenchmarkTimes", "Catalog", "builtin_catalog", "builtin_benchmark",
+                "load_catalog", "PUBLISHED_TIME_LIMITS", "PUBLISHED_PLANNING"],
+    "simulate": ["SimConfig", "Stat", "SimOutcome", "run_baseline", "run_augmented", "compare",
+                 "expected_outcome", "expected_sd", "VERDICT_INCONCLUSIVE", "NOTHING_SURVIVES"],
+    "cli": ["main", "OutputRecord"],
+}
+
+
+@pytest.mark.parametrize("name", list(PUBLIC))
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"pipegate.{name}")
+    assert module.__all__ == PUBLIC[name]
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
