@@ -46,10 +46,6 @@ LATENCY_REPORTED = "reported-with-preprocessing"
 LATENCY_LOWER_BOUND = "lower-bound"
 LATENCY_UNKNOWN = "unknown"
 
-# Bayes-reconstructed FPRs must round-trip against their own row to within
-# the published 2-3 decimal rounding.
-_BAYES_ROUNDTRIP_TOL = 0.005
-
 
 class CatalogError(Exception):
     """An unusable catalog: unreadable or malformed file, bad value or duplicate name."""
@@ -68,27 +64,6 @@ class ModelRecord:
     spec: ClassifierSpec
     fpr_provenance: str
     latency_provenance: str
-
-    def __post_init__(self) -> None:
-        if self.fpr_provenance not in (FPR_REPORTED, FPR_BAYES):
-            raise CatalogError(f"bad fpr_provenance: {self.fpr_provenance!r}")
-        if self.latency_provenance not in (
-            LATENCY_REPORTED,
-            LATENCY_LOWER_BOUND,
-            LATENCY_UNKNOWN,
-        ):
-            raise CatalogError(f"bad latency_provenance: {self.latency_provenance!r}")
-        if (
-            self.fpr_provenance == FPR_BAYES
-            and self.spec.fpr is not None
-            and self.spec.eval_prevalence is not None
-        ):
-            implied = bayes_fpr(self.spec.precision, self.spec.recall, self.spec.eval_prevalence)
-            if abs(implied - self.spec.fpr) > _BAYES_ROUNDTRIP_TOL:
-                raise CatalogError(
-                    f"{self.name}: bayes-estimated fpr {self.spec.fpr} does not "
-                    f"round-trip from (P, R, prevalence); implied {implied:.4f}"
-                )
 
 
 @dataclass(frozen=True)

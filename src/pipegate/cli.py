@@ -8,8 +8,8 @@ budget grid over a benchmark), ``simulate`` (Monte Carlo cross-check) and
 Every command accepts ``--format {table,csv,json}``.  JSON carries full
 double precision and always reports times in seconds; the text table rounds
 to 3 significant figures and switches to minutes above 120 s.  Exit codes:
-0 success, 1 reproduction or verdict regression, 2 unknown entity, 3 invalid
-input.
+0 success, 1 reproduction or verdict regression, 2 unknown model name, 3
+invalid input.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -170,7 +169,9 @@ def _resolve_catalog(path_flag: str | None) -> cat.Catalog:
     return cat.load_catalog(path)
 
 
-def _resolve_model(catalog: cat.Catalog, name: str) -> cat.ModelRecord:
+def _resolve_model(args: argparse.Namespace) -> cat.ModelRecord:
+    """The one model ``--model`` names: a one-model JSON file, else a catalog row."""
+    name = args.model
     if name.endswith(".json") and Path(name).exists():
         file_cat = cat.load_catalog(name)
         if len(file_cat.models) != 1:
@@ -180,11 +181,24 @@ def _resolve_model(catalog: cat.Catalog, name: str) -> cat.ModelRecord:
                 f"found {len(file_cat.models)}",
             )
         return file_cat.models[0]
+    catalog = _resolve_catalog(args.catalog)
     try:
         return catalog.lookup(name)
     except cat.UnknownModelError:
         known = ", ".join(catalog.names())
         raise CliError(EXIT_UNKNOWN, f"unknown model {name!r}; known: {known}") from None
+
+
+def _consistency_warnings(records) -> list[str]:
+    """One line per model whose published rates disagree beyond rounding."""
+    lines = []
+    for r in records:
+        gap = r.spec.consistency_gap()
+        if gap is not None and gap > met.EPS_CONSISTENCY:
+            lines.append(f"{r.name}: precision {r.spec.precision} disagrees with the value implied "
+                         f"by (recall={r.spec.recall}, fpr={r.spec.fpr}, prevalence="
+                         f"{r.spec.eval_prevalence}) by {gap:.4f} (> {met.EPS_CONSISTENCY})")
+    return lines
 
 
 def _detector_inputs(record: cat.ModelRecord) -> dict:
@@ -203,8 +217,7 @@ def _detector_inputs(record: cat.ModelRecord) -> dict:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_invert(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    catalog = _resolve_catalog(args.catalog)
-    record = _resolve_model(catalog, args.model)
+    record = _resolve_model(args)
     scr = met.invert_detector(record.spec)
     results = {
         "screener_precision": _tagged(scr.precision, "derived"),
@@ -215,15 +228,15 @@ def cmd_invert(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         results["screener_precision_at_pi"] = _tagged(
             met.precision_at_prevalence(scr.recall, scr.fpr, args.pi), "derived"
         )
-    out = OutputRecord(command="invert", inputs=_detector_inputs(record), results=results)
+    out = OutputRecord(command="invert", inputs=_detector_inputs(record), results=results,
+                       warnings=_consistency_warnings([record]))
     if args.pi is not None:
         out.inputs["pi"] = args.pi
     return out, EXIT_OK
 
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    catalog = _resolve_catalog(args.catalog)
-    record = _resolve_model(catalog, args.model)
+    record = _resolve_model(args)
     scr = met.invert_detector(record.spec)
     pi = args.pi
     tau_m = args.tau_m if args.tau_m is not None else scr.latency
@@ -241,6 +254,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         out.warnings.append(
             "screener latency is a published lower bound; results are optimistic"
         )
+    out.warnings += _consistency_warnings([record])
 
     if scr.precision <= pi:
         raise CliError(
@@ -278,12 +292,13 @@ def _time_limits(catalog: cat.Catalog, benchmark: cat.BenchmarkTimes, pi: float)
 
 def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     catalog = _resolve_catalog(args.catalog)
-    if args.benchmark == "builtin":
+    source = args.benchmark or "builtin"  # empty counts as not given, as --catalog ""
+    if source == "builtin":
         benchmark = cat.builtin_benchmark()
     else:
-        bench_cat = _resolve_catalog(args.benchmark)
+        bench_cat = cat.load_catalog(source)
         if bench_cat.benchmark is None:
-            raise CliError(EXIT_INVALID, f"{args.benchmark}: no 'benchmark' section")
+            raise CliError(EXIT_INVALID, f"{source}: no 'benchmark' section")
         benchmark = bench_cat.benchmark
     pi = args.pi if args.pi is not None else benchmark.prevalence
 
@@ -296,24 +311,28 @@ def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         command="limits",
         inputs={
             "pi": pi,
-            "benchmark": {"source": args.benchmark, **benchmark.as_columns()},
+            "benchmark": {"source": source, **benchmark.as_columns()},
         },
         table={"columns": columns, "rows": rows},
+        warnings=_consistency_warnings(catalog.models),
     )
     return out, EXIT_OK
 
 
-def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, bnd.PipelineConfig, dict]:
+def _simulate_config(
+    args: argparse.Namespace,
+) -> tuple[sim.SimConfig, bnd.PipelineConfig, dict, list[str]]:
     """Check the whole scenario before any trial runs.
 
-    Returns (simulated config, analytic config, inputs).  The analytic P_M
-    is the published one under ``as-published`` with ``--model``, and the
-    precision at the generator's pi otherwise; ``inputs`` echoes that mode.
+    Returns (simulated config, analytic config, inputs, warnings).  The
+    analytic P_M is the published one under ``as-published`` with ``--model``,
+    and the precision at the generator's pi otherwise; ``inputs`` echoes that mode.
     """
     inputs: dict = {}
+    warnings: list[str] = []
     if args.model is not None:
-        catalog = _resolve_catalog(args.catalog)
-        record = _resolve_model(catalog, args.model)
+        record = _resolve_model(args)
+        warnings = _consistency_warnings([record])
         scr = met.invert_detector(record.spec)
         tpr_m = scr.recall if args.tpr_m is None else args.tpr_m
         fpr_m = scr.fpr if args.fpr_m is None else args.fpr_m
@@ -367,11 +386,11 @@ def _simulate_config(args: argparse.Namespace) -> tuple[sim.SimConfig, bnd.Pipel
         "trials": args.trials, "seed": args.seed, "workers": args.workers,
         "precision_mode": precision_mode,
     })
-    return cfg, pipeline, inputs
+    return cfg, pipeline, inputs, warnings
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    cfg, pipeline, inputs = _simulate_config(args)
+    cfg, pipeline, inputs, warnings = _simulate_config(args)
     report = bnd.evaluate(pipeline, cfg.delta_n / cfg.n)
     outcome = sim.compare(cfg, workers=args.workers)
     probe = outcome.survivor_precision
@@ -403,7 +422,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     }
     results["analytic_verdict"] = report.verdict
 
-    out = OutputRecord(command="simulate", inputs=inputs, results=results)
+    out = OutputRecord(command="simulate", inputs=inputs, results=results, warnings=warnings)
     code = EXIT_OK if agree_all else EXIT_REGRESSION
     return out, code
 
@@ -565,12 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", met.InconsistentSpecWarning)
-            record, code = args.func(args)
-        for w in caught:
-            if issubclass(w.category, met.InconsistentSpecWarning):
-                record.warnings.append(str(w.message))
+        record, code = args.func(args)
         sys.stdout.write(render(record, args.format))
         return code
     except (CliError, met.MetricsError, cat.CatalogError) as exc:

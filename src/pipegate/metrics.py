@@ -15,7 +15,6 @@ and the three rates derived from them.  Two less common pieces:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 __all__ = [
@@ -37,10 +36,6 @@ class MetricsError(ValueError):
     """Domain error: an input is outside the range where the formula holds."""
 
 
-class InconsistentSpecWarning(UserWarning):
-    """A published (P, R, FPR, prevalence) tuple disagrees beyond rounding."""
-
-
 def _check_unit(name: str, value: float, lo_open: bool = False, hi_open: bool = False) -> None:
     if not (0.0 <= value <= 1.0):
         raise MetricsError(f"{name} must be in [0, 1], got {value}")
@@ -56,11 +51,10 @@ class ClassifierSpec:
 
     ``fpr``, ``latency`` and ``eval_prevalence`` may be absent (None); a
     missing FPR can be reconstructed with :func:`bayes_fpr` when the
-    evaluation prevalence is known.  When all four rate fields are present
-    they are checked for mutual consistency to within ``EPS_CONSISTENCY``;
-    a violation emits :class:`InconsistentSpecWarning` rather than raising,
-    because published rows rounded to two decimals routinely fail an exact
-    check.
+    evaluation prevalence is known.  Construction checks ranges only:
+    published rows rounded to two decimals routinely fail an exact
+    consistency check, so :meth:`consistency_gap` measures the disagreement
+    and the caller decides whether it exceeds ``EPS_CONSISTENCY``.
     """
 
     precision: float
@@ -78,15 +72,6 @@ class ClassifierSpec:
             raise MetricsError(f"latency must be >= 0, got {self.latency}")
         if self.eval_prevalence is not None:
             _check_unit("eval_prevalence", self.eval_prevalence, lo_open=True, hi_open=True)
-        gap = self.consistency_gap()
-        if gap is not None and gap > EPS_CONSISTENCY:
-            warnings.warn(
-                f"precision {self.precision} disagrees with the value implied by "
-                f"(recall={self.recall}, fpr={self.fpr}, prevalence={self.eval_prevalence}) "
-                f"by {gap:.4f} (> {EPS_CONSISTENCY})",
-                InconsistentSpecWarning,
-                stacklevel=2,
-            )
 
     def consistency_gap(self) -> float | None:
         """|published precision - precision implied by (R, FPR, prevalence)|.

@@ -330,18 +330,23 @@ def _margin_verdict(stats: dict[str, Stat]) -> str:
 
 
 def compare(cfg: SimConfig, workers: int = 1) -> SimOutcome:
-    """Run both pipelines on independent streams and compare them."""
-    base = run_baseline(cfg, workers=workers)
-    aug = run_augmented(cfg, workers=workers)
-    stats = {
-        "baseline_tp": _summarize(base["tp"]),
-        "augmented_tp": _summarize(aug["tp"]),
-        "baseline_time": _summarize(base["time"]),
-        "augmented_time": _summarize(aug["time"]),
-        "survivors": _summarize(aug["survivors"]),
-    }
-    # good survivors / survivors, over the trials whose screener passed any
-    some = aug["survivors"] > 0
-    precision = (_summarize(aug["good_survivors"][some] / aug["survivors"][some])
-                 if some.any() else None)
+    """Run both pipelines on independent streams and compare them.
+
+    numpy stays quiet by policy: a statistic that overflows comes back as
+    inf (or nan), and the caller decides what a non-finite result means.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = run_baseline(cfg, workers=workers)
+        aug = run_augmented(cfg, workers=workers)
+        stats = {
+            "baseline_tp": _summarize(base["tp"]),
+            "augmented_tp": _summarize(aug["tp"]),
+            "baseline_time": _summarize(base["time"]),
+            "augmented_time": _summarize(aug["time"]),
+            "survivors": _summarize(aug["survivors"]),
+        }
+        # good survivors / survivors, over the trials whose screener passed any
+        some = aug["survivors"] > 0
+        precision = (_summarize(aug["good_survivors"][some] / aug["survivors"][some])
+                     if some.any() else None)
     return SimOutcome(stats=stats, verdict=_margin_verdict(stats), survivor_precision=precision)

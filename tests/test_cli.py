@@ -167,6 +167,76 @@ class TestLimits:
         assert code == 0
         assert parsed["inputs"]["benchmark"]["q25"] == 1
 
+    def test_empty_benchmark_means_builtin(self, capsys, tmp_path, monkeypatch):
+        # an empty --benchmark counts as not given, as an empty --catalog does:
+        # the benchmark of $PIPEGATE_CATALOG is not read
+        doc = {"models": [], "benchmark": {"q25": 1, "median": 2, "q75": 3, "mean": 4,
+                                           "prevalence": 0.2}}
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setenv("PIPEGATE_CATALOG", str(path))
+        builtin = run_cli(capsys, "limits", "--benchmark", "builtin", "--format", "json")
+        assert run_cli(capsys, "limits", "--benchmark", "", "--format", "json") == builtin
+        assert json.loads(builtin[1])["inputs"]["benchmark"]["q25"] == 9.17
+
+
+class TestConsistencyWarnings:
+    """A warning names its model and covers only the models a command reads."""
+
+    X_WARNING = ("x: precision 0.9 disagrees with the value implied by "
+                 "(recall=0.8, fpr=0.3, prevalence=0.3) by 0.3667 (> 0.02)")
+
+    @pytest.fixture
+    def catalog(self, tmp_path):
+        doc = {
+            "models": [
+                # implied precision 0.24 / 0.45 = 0.533, not 0.9
+                {"name": "x", "precision": 0.9, "recall": 0.8, "fpr": 0.3, "prevalence": 0.3,
+                 "latency_seconds": 2, "latency_kind": "lower_bound"},
+                {"name": "y", "precision": 0.87, "recall": 0.84, "fpr": 0.05,
+                 "prevalence": 0.29},
+            ],
+            "benchmark": {"q25": 1, "median": 2, "q75": 3, "mean": 4, "prevalence": 0.38},
+        }
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_consistent_model_no_warning(self, capsys, catalog):
+        code, doc, _ = run_json(capsys, "invert", "--model", "y", "--catalog", catalog)
+        assert (code, doc["warnings"]) == (0, [])
+
+    def test_bounds_warns_after_latency(self, capsys, catalog):
+        code, doc, _ = run_json(capsys, "bounds", "--model", "x", "--catalog", catalog,
+                                "--pi", "0.2", "--tau-v", "30")
+        assert code == 0
+        assert doc["warnings"] == [
+            "screener latency is a published lower bound; results are optimistic",
+            self.X_WARNING,
+        ]
+
+    def test_limits_warns_once_per_row(self, capsys, catalog):
+        code, doc, _ = run_json(capsys, "limits", "--catalog", catalog, "--benchmark", catalog)
+        assert (code, doc["warnings"]) == (0, [self.X_WARNING])
+
+    def test_simulate_warns_for_its_model(self, capsys, catalog):
+        code, doc, _ = run_json(capsys, "simulate", "--model", "x", "--catalog", catalog,
+                                "--pi", "0.38", "--n", "1000", "--trials", "3", "--tau-v", "30")
+        assert (code, doc["warnings"]) == (0, [self.X_WARNING])
+
+    def test_model_file_reads_no_catalog(self, capsys, tmp_path, monkeypatch):
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"models": [
+            {"name": "z", "precision": 0.87, "recall": 0.84, "fpr": 0.05, "prevalence": 0.29}
+        ]}))
+        monkeypatch.delenv("PIPEGATE_CATALOG", raising=False)
+        unset = run_cli(capsys, "invert", "--model", str(one))
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        monkeypatch.setenv("PIPEGATE_CATALOG", str(broken))
+        assert run_cli(capsys, "invert", "--model", str(one)) == unset
+        assert unset[0] == 0
+
 
 class TestSimulate:
     ARGS = (
@@ -529,6 +599,23 @@ class TestCliPlumbing:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflow_prints_one_error_line(self):
+        # pytest captures Python warnings, so only a real process shows what
+        # reaches stderr; numpy's overflow must neither print nor raise
+        argv = ("simulate --model VulDeePecker --pi 0.38 --n 1000 --trials 3"
+                " --tau-v 1e300 --tau-m 1").split()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env.pop("PYTHONWARNINGS", None)
+        for warnings_filter in (None, "error"):
+            if warnings_filter:
+                env["PYTHONWARNINGS"] = warnings_filter
+            done = subprocess.run([sys.executable, "-m", "pipegate.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stdout, done.stderr) == (
+                3, "", "error: a result is not a finite number; inputs too large\n"
+            )
 
     # sha256 of the whole `--format json` stdout of the closed-form commands,
     # with the exit code: any change to a figure, key, warning or byte fails

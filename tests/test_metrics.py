@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pipegate.metrics import (
+    EPS_CONSISTENCY,
     ClassifierSpec,
-    InconsistentSpecWarning,
     MetricsError,
     _check_unit,
     bayes_fpr,
@@ -187,12 +187,13 @@ class TestSpecTypes:
             ClassifierSpec(precision=0.9, recall=0.5, latency=-1)
 
     def test_consistency_warning(self):
-        with pytest.warns(InconsistentSpecWarning):
-            ClassifierSpec(precision=0.9, recall=0.5, fpr=0.5, eval_prevalence=0.5)
+        # constructs without raising; the caller reports the gap
+        spec = ClassifierSpec(precision=0.9, recall=0.5, fpr=0.5, eval_prevalence=0.5)
+        assert spec.consistency_gap() > EPS_CONSISTENCY
 
-    def test_consistent_spec_no_warning(self, recwarn):
-        ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, eval_prevalence=0.29)
-        assert not [w for w in recwarn if w.category is InconsistentSpecWarning]
+    def test_consistent_spec_no_warning(self):
+        spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, eval_prevalence=0.29)
+        assert spec.consistency_gap() <= EPS_CONSISTENCY
 
     def test_screener_rates(self):
         spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, latency=156.0)
