@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from pipegate import bounds as bnd
 from pipegate import catalog as cat
@@ -78,15 +77,12 @@ def _fmt_seconds(value: float) -> str:
     return f"{value:.3g} s"
 
 
-_SECONDS_HINTS = ("time", "latency", "tau", "budget")
-
-
 def _fmt_result(key: str, value) -> str:
     if isinstance(value, dict) and "value" in value:
         tag = value.get("provenance")
         body = _fmt_result(key, value["value"])
         return f"{body} ({tag})" if tag else body
-    if isinstance(value, float) and any(h in key for h in _SECONDS_HINTS):
+    if isinstance(value, float) and key.endswith("_seconds"):
         return _fmt_seconds(value)
     return _fmt(value)
 
@@ -170,9 +166,13 @@ def _resolve_catalog(path_flag: str | None) -> cat.Catalog:
 
 
 def _resolve_model(args: argparse.Namespace) -> cat.ModelRecord:
-    """The one model ``--model`` names: a one-model JSON file, else a catalog row."""
+    """The one model ``--model`` names.
+
+    A name ending in ``.json`` is always a one-model file, even a missing one;
+    any other name is a catalog row.
+    """
     name = args.model
-    if name.endswith(".json") and Path(name).exists():
+    if name.endswith(".json"):
         file_cat = cat.load_catalog(name)
         if len(file_cat.models) != 1:
             raise CliError(
@@ -344,8 +344,6 @@ def _simulate_config(
         tpr_m, fpr_m, tau_m = args.tpr_m, args.fpr_m, args.tau_m
     if tau_m is None:
         raise CliError(EXIT_INVALID, "screener latency unknown: pass --tau-m")
-    if args.trials < 2:  # one trial has no standard error to check against
-        raise CliError(EXIT_INVALID, f"trials must be >= 2, got {args.trials}")
     if args.workers < 1:
         raise CliError(EXIT_INVALID, f"workers must be >= 1, got {args.workers}")
     for name in ("n", "trials"):  # numpy cannot size or index an array that long
@@ -369,7 +367,7 @@ def _simulate_config(
         trials=args.trials,
         seed=args.seed,
     )
-    if sim.expected_outcome(cfg)["survivors"] == 0:  # a screener that passes nothing
+    if sim.expected_outcome(cfg)["survivors"].mean == 0:  # a screener that passes nothing
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
     precision_mode = args.precision_mode if args.model is not None else PRECISION_CONSISTENT
     if precision_mode == PRECISION_AS_PUBLISHED:
@@ -399,18 +397,16 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 
     results: dict = {"trials": cfg.trials, "empirical_verdict": outcome.verdict}
     agree_all = True
-    sds = sim.expected_sd(cfg)
-    for key, expected in sim.expected_outcome(cfg).items():
+    for key, model in sim.expected_outcome(cfg).items():
         stat = outcome.stats[key]
-        delta = abs(stat.mean - expected)
         # few small trials can come out identical, with an empirical SE of 0;
         # the model's own SE keeps that sampling noise from reading as a regression
-        agrees = delta <= 3.0 * max(stat.se, sds[key] / math.sqrt(cfg.trials))
+        agrees = abs(stat.mean - model.mean) <= 3.0 * max(stat.se, model.se)
         agree_all = agree_all and agrees
         results[key] = {
             "mean": stat.mean,
             "se": stat.se,
-            "analytic": expected,
+            "analytic": model.mean,
             "within_3se": agrees,
         }
     results["analytic_agreement"] = agree_all

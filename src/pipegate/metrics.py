@@ -23,6 +23,7 @@ __all__ = [
     "EPS_CONSISTENCY",
     "bayes_fpr",
     "invert_detector_precision",
+    "pass_rate",
     "precision_at_prevalence",
     "invert_detector",
 ]
@@ -82,7 +83,7 @@ class ClassifierSpec:
         if self.fpr is None or self.eval_prevalence is None:
             return None
         pi = self.eval_prevalence
-        if pi * self.recall + (1 - pi) * self.fpr == 0:
+        if pass_rate(self.recall, self.fpr, pi) == 0:
             return None
         return abs(self.precision - precision_at_prevalence(self.recall, self.fpr, pi))
 
@@ -129,12 +130,17 @@ def invert_detector_precision(p_mvd: float, r_mvd: float, far_mvd: float) -> flo
     return 1.0 / (1.0 + ratio)
 
 
-def precision_at_prevalence(tpr: float, fpr: float, pi: float) -> float:
-    """Bayes' rule: precision of a (tpr, fpr) classifier at prevalence pi."""
+def pass_rate(tpr: float, fpr: float, pi: float) -> float:
+    """Share of items a (tpr, fpr) classifier passes at prevalence pi, good or not."""
     _check_unit("tpr", tpr)
     _check_unit("fpr", fpr)
     _check_unit("pi", pi, lo_open=True, hi_open=True)
-    denom = pi * tpr + (1 - pi) * fpr
+    return pi * tpr + (1 - pi) * fpr
+
+
+def precision_at_prevalence(tpr: float, fpr: float, pi: float) -> float:
+    """Bayes' rule: precision of a (tpr, fpr) classifier at prevalence pi."""
+    denom = pass_rate(tpr, fpr, pi)
     if denom == 0:
         raise MetricsError("precision undefined: classifier passes nothing")
     return pi * tpr / denom

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pipegate.bounds import VERDICT_CONVENIENT, VERDICT_NOT_CONVENIENT
-from pipegate.metrics import MetricsError, _check_unit
+from pipegate.metrics import MetricsError, _check_unit, pass_rate
 
 __all__ = [
     "SimConfig",
@@ -53,7 +53,6 @@ __all__ = [
     "run_augmented",
     "compare",
     "expected_outcome",
-    "expected_sd",
     "VERDICT_INCONCLUSIVE",
     "NOTHING_SURVIVES",
 ]
@@ -76,6 +75,7 @@ class SimConfig:
     ``tpr_m`` and ``fpr_m`` are the screener's rates (R_M and Far_M) and
     ``r_v`` is the validator's recall.  The validator has no FPR here: both
     pipelines count only good items, and charge time per item regardless.
+    At least two trials, so that every statistic has a standard error.
     """
 
     pi: float
@@ -100,8 +100,8 @@ class SimConfig:
             raise MetricsError(f"delta_n must be >= 0, got {self.delta_n}")
         if self.tau_m < 0 or self.tau_v < 0:
             raise MetricsError("latencies must be >= 0")
-        if self.trials < 1:
-            raise MetricsError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 2:
+            raise MetricsError(f"trials must be >= 2, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise MetricsError("seed must fit in 64 bits")
 
@@ -112,7 +112,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Stat:
-    """Sample mean and standard error over trials."""
+    """A sample's or the model's mean and standard error over trials."""
 
     mean: float
     se: float
@@ -132,38 +132,26 @@ class SimOutcome:
     survivor_precision: Stat | None
 
 
-def _pass_rate(cfg: SimConfig) -> float:
-    """Share of items the screener passes, good or not."""
-    return cfg.pi * cfg.tpr_m + (1 - cfg.pi) * cfg.fpr_m
+def expected_outcome(cfg: SimConfig) -> dict[str, Stat]:
+    """The model's mean and standard error of each statistic in ``SimOutcome.stats``.
 
-
-def expected_outcome(cfg: SimConfig) -> dict[str, float]:
-    """Closed-form expectation of each statistic in ``SimOutcome.stats``, by key."""
-    m = cfg.n_total
-    pass_rate = _pass_rate(cfg)
-    return {
-        "baseline_tp": cfg.r_v * cfg.pi * cfg.n,
-        "augmented_tp": cfg.r_v * cfg.tpr_m * cfg.pi * m,
-        "baseline_time": cfg.n * cfg.tau_v,
-        "augmented_time": cfg.tau_m * m + cfg.tau_v * pass_rate * m,
-        "survivors": pass_rate * m,
-    }
-
-
-def expected_sd(cfg: SimConfig) -> dict[str, float]:
-    """Standard deviation of one trial's value of each statistic under the model.
-
-    Every count is binomial.  The augmented time moves only with its
-    survivors, tau_V per survivor; the baseline time does not move at all.
+    Every count is binomial, and its SE is one trial's binomial SD over
+    sqrt(trials).  The augmented time moves only with its survivors, tau_V
+    per survivor; the baseline time does not move at all.
     """
     m = cfg.n_total
-    survivors = _binomial_sd(m, _pass_rate(cfg))
+    q = pass_rate(cfg.tpr_m, cfg.fpr_m, cfg.pi)
+    root = math.sqrt(cfg.trials)
+    survivors_sd = _binomial_sd(m, q)
     return {
-        "baseline_tp": _binomial_sd(cfg.n, cfg.pi * cfg.r_v),
-        "augmented_tp": _binomial_sd(m, cfg.pi * cfg.tpr_m * cfg.r_v),
-        "baseline_time": 0.0,
-        "augmented_time": cfg.tau_v * survivors,
-        "survivors": survivors,
+        "baseline_tp": Stat(cfg.r_v * cfg.pi * cfg.n,
+                            _binomial_sd(cfg.n, cfg.pi * cfg.r_v) / root),
+        "augmented_tp": Stat(cfg.r_v * cfg.tpr_m * cfg.pi * m,
+                             _binomial_sd(m, cfg.pi * cfg.tpr_m * cfg.r_v) / root),
+        "baseline_time": Stat(cfg.n * cfg.tau_v, 0.0),
+        "augmented_time": Stat(cfg.tau_m * m + cfg.tau_v * q * m,
+                               cfg.tau_v * survivors_sd / root),
+        "survivors": Stat(q * m, survivors_sd / root),
     }
 
 

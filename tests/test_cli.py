@@ -70,6 +70,13 @@ class TestInvert:
         assert code == 2
         assert "unknown model" in err
 
+    def test_missing_model_file_exit_3(self, capsys, tmp_path):
+        # a name ending in .json is a model file even when the file is missing
+        path = tmp_path / "nosuch.json"
+        code, out, err = run_cli(capsys, "invert", "--model", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}: cannot read (") and err.count("\n") == 1
+
 
 class TestBounds:
     def test_fixed_model_query(self, capsys):

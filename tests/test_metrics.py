@@ -1,6 +1,7 @@
 """Confusion-matrix algebra: worked examples and algebraic invariants."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from pipegate.metrics import (
     bayes_fpr,
     invert_detector,
     invert_detector_precision,
+    pass_rate,
     precision_at_prevalence,
 )
 from reference import ConfusionCounts, counts_from_rates, swap_labels
@@ -168,6 +170,29 @@ class TestPrecisionAtPrevalence:
         consistent = precision_at_prevalence(0.95, 0.16, 0.38)
         assert as_published == pytest.approx(0.9371, abs=5e-5)
         assert consistent == pytest.approx(0.7843, abs=5e-4)
+
+
+class TestPassRate:
+    def test_examples(self):
+        assert pass_rate(0.95, 0.16, 0.38) == pytest.approx(0.4602, abs=1e-12)
+        assert pass_rate(0.0, 0.0, 0.5) == 0.0
+        assert pass_rate(1.0, 1.0, 0.3) == 1.0
+
+    @given(rates, rates, prevalences)
+    def test_precision_is_true_passes_over_pass_rate(self, tpr, fpr, pi):
+        assert precision_at_prevalence(tpr, fpr, pi) == pi * tpr / pass_rate(tpr, fpr, pi)
+
+    @pytest.mark.parametrize("args", [
+        (1.5, 0.2, 0.4), (-0.1, 0.2, 0.4),
+        (0.5, 1.5, 0.4), (0.5, -0.1, 0.4),
+        (0.5, 0.2, 0.0), (0.5, 0.2, 1.0), (0.5, 0.2, 1.5),
+        (1.5, 1.5, 0.0),  # several bad inputs: tpr, then fpr, then pi
+    ])
+    def test_range_errors_match_precision_at_prevalence(self, args):
+        with pytest.raises(MetricsError) as want:
+            precision_at_prevalence(*args)
+        with pytest.raises(MetricsError, match=f"^{re.escape(str(want.value))}$"):
+            pass_rate(*args)
 
 
 class TestSpecTypes:

@@ -32,7 +32,8 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
 # each module's public surface, pinned so that adding or dropping a name is a visible change
 PUBLIC = {
     "metrics": ["MetricsError", "ClassifierSpec", "EPS_CONSISTENCY", "bayes_fpr",
-                "invert_detector_precision", "precision_at_prevalence", "invert_detector"],
+                "invert_detector_precision", "pass_rate", "precision_at_prevalence",
+                "invert_detector"],
     "bounds": ["PipelineConfig", "ModelTimeBudget", "BoundsReport", "VERDICT_CONVENIENT",
                "VERDICT_NOT_CONVENIENT", "VERDICT_BOUNDARY", "min_extra_ratio",
                "max_model_time", "min_validator_time", "evaluate"],
@@ -41,7 +42,7 @@ PUBLIC = {
                 "BenchmarkTimes", "Catalog", "builtin_catalog", "builtin_benchmark",
                 "load_catalog", "PUBLISHED_TIME_LIMITS", "PUBLISHED_PLANNING"],
     "simulate": ["SimConfig", "Stat", "SimOutcome", "run_baseline", "run_augmented", "compare",
-                 "expected_outcome", "expected_sd", "VERDICT_INCONCLUSIVE", "NOTHING_SURVIVES"],
+                 "expected_outcome", "VERDICT_INCONCLUSIVE", "NOTHING_SURVIVES"],
     "cli": ["main", "OutputRecord"],
 }
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,12 +11,13 @@ import pytest
 
 from pipegate import simulate
 from pipegate.cli import main
-from pipegate.metrics import MetricsError, precision_at_prevalence
+from pipegate.metrics import MetricsError, pass_rate, precision_at_prevalence
 from pipegate.simulate import (
     VERDICT_INCONCLUSIVE,
     SimConfig,
     _summarize,
     compare,
+    expected_outcome,
     run_augmented,
     run_baseline,
 )
@@ -147,7 +149,7 @@ class TestChunkedKernel:
         run_augmented(make_config(trials=5, **small), workers=64)  # capped by CPUs
         run_augmented(make_config(trials=2, **small), workers=64)  # capped by trials
         run_augmented(make_config(trials=5, **small), workers=2)
-        run_augmented(make_config(trials=1, **small), workers=64)  # runs inline
+        run_augmented(make_config(trials=5, **small), workers=1)  # runs inline
         assert sizes == [3, 2, 2]
 
 
@@ -204,6 +206,16 @@ class TestAugmented:
         hi = run_augmented(make_config(tpr_m=0.9, fpr_m=0.16))
         assert np.all(hi["tp"] >= lo["tp"])
         assert np.all(hi["good_survivors"] >= lo["good_survivors"])
+
+
+class TestModel:
+    def test_standard_errors(self):
+        cfg = make_config(trials=40)
+        model = expected_outcome(cfg)
+        assert model["baseline_time"].se == 0.0
+        m, q = cfg.n_total, pass_rate(cfg.tpr_m, cfg.fpr_m, cfg.pi)
+        assert model["survivors"].se == math.sqrt(m * q * (1 - q)) / math.sqrt(cfg.trials)
+        assert model["augmented_time"].se == pytest.approx(cfg.tau_v * model["survivors"].se)
 
 
 class TestCompare:
@@ -286,6 +298,7 @@ class TestConfigValidation:
             ("fpr_m", -0.1, r"fpr must be in \[0, 1\], got -0.1"),
             ("r_v", 1.5, r"r_v must be in \[0, 1\], got 1.5"),
             ("r_v", -0.1, r"r_v must be in \[0, 1\], got -0.1"),
+            ("trials", 1, r"trials must be >= 2, got 1"),
         ]:
             with pytest.raises(MetricsError, match=message):
                 make_config(**{field: value})
