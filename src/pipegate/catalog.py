@@ -23,7 +23,6 @@ from pipegate.metrics import ClassifierSpec, MetricsError, bayes_fpr
 
 __all__ = [
     "CatalogError",
-    "UnknownModelError",
     "FPR_REPORTED",
     "FPR_BAYES",
     "LATENCY_REPORTED",
@@ -49,10 +48,6 @@ LATENCY_UNKNOWN = "unknown"
 
 class CatalogError(Exception):
     """An unusable catalog: unreadable or malformed file, bad value or duplicate name."""
-
-
-class UnknownModelError(KeyError):
-    """Lookup by a name not present in the catalog."""
 
 
 @dataclass(frozen=True)
@@ -101,16 +96,13 @@ class Catalog:
                 raise CatalogError(f"duplicate model name: {rec.name!r}")
             seen.add(key)
 
-    def lookup(self, name: str) -> ModelRecord:
-        """Case-insensitive lookup by model name."""
+    def lookup(self, name: str) -> ModelRecord | None:
+        """Case-insensitive lookup by model name; None when absent."""
         key = _canonical(name)
         for rec in self.models:
             if _canonical(rec.name) == key:
                 return rec
-        raise UnknownModelError(name)
-
-    def names(self) -> list[str]:
-        return [rec.name for rec in self.models]
+        return None
 
 
 def _canonical(name: str) -> str:
@@ -182,7 +174,7 @@ _MODEL_FIELDS = {
     "name", "source", "precision", "recall", "fpr",
     "latency_seconds", "latency_kind", "prevalence",
 }
-_BENCHMARK_FIELDS = {"q25", "median", "q75", "mean", "prevalence"}
+_BENCHMARK_FIELDS = ("q25", "median", "q75", "mean", "prevalence")
 _LATENCY_KINDS = {"reported": LATENCY_REPORTED, "lower_bound": LATENCY_LOWER_BOUND}
 
 
@@ -259,26 +251,25 @@ def _parse_model(obj: dict, index: int) -> ModelRecord:
 def _parse_benchmark(obj: dict) -> BenchmarkTimes:
     if not isinstance(obj, dict):
         raise CatalogError("benchmark: expected an object")
-    unknown = set(obj) - _BENCHMARK_FIELDS
+    unknown = set(obj).difference(_BENCHMARK_FIELDS)
     if unknown:
         raise CatalogError(f"benchmark: unknown field(s) {sorted(unknown)}")
-    missing = _BENCHMARK_FIELDS - set(obj)
+    missing = set(_BENCHMARK_FIELDS).difference(obj)
     if missing:
         raise CatalogError(f"benchmark: missing field(s) {sorted(missing)}")
-    return BenchmarkTimes(
-        q25=_require_number(obj, "q25", "benchmark"),
-        median=_require_number(obj, "median", "benchmark"),
-        q75=_require_number(obj, "q75", "benchmark"),
-        mean=_require_number(obj, "mean", "benchmark"),
-        prevalence=_require_number(obj, "prevalence", "benchmark"),
-    )
+    values = {f: _require_number(obj, f, "benchmark") for f in _BENCHMARK_FIELDS}
+    try:
+        return BenchmarkTimes(**values)
+    except CatalogError as exc:
+        raise CatalogError(f"benchmark: {exc}") from exc
 
 
 def load_catalog(path: str | Path) -> Catalog:
     """Parse a JSON spec file into a validated catalog.
 
     Unknown fields are rejected (strict mode) to catch typos; models missing
-    an FPR get a Bayes-completed one tagged ``bayes-estimated``.
+    an FPR get a Bayes-completed one tagged ``bayes-estimated``.  Every error
+    names the file.
     """
     path = Path(path)
     try:
@@ -299,7 +290,9 @@ def load_catalog(path: str | Path) -> Catalog:
     models_raw = doc.get("models", [])
     if not isinstance(models_raw, list):
         raise CatalogError(f"{path}: 'models' must be a list")
-    models = tuple(_parse_model(m, i) for i, m in enumerate(models_raw))
-    benchmark = _parse_benchmark(doc["benchmark"]) if "benchmark" in doc else None
-    return Catalog(models=models, benchmark=benchmark)
-
+    try:
+        models = tuple(_parse_model(m, i) for i, m in enumerate(models_raw))
+        benchmark = _parse_benchmark(doc["benchmark"]) if "benchmark" in doc else None
+        return Catalog(models=models, benchmark=benchmark)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc

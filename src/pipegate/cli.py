@@ -41,6 +41,8 @@ CATALOG_ENV_VAR = "PIPEGATE_CATALOG"
 PRECISION_AS_PUBLISHED = "as-published"
 PRECISION_CONSISTENT = "prevalence-consistent"
 
+OPTIMISTIC_LATENCY = "screener latency is a published lower bound; results are optimistic"
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -182,11 +184,11 @@ def _resolve_model(args: argparse.Namespace) -> cat.ModelRecord:
             )
         return file_cat.models[0]
     catalog = _resolve_catalog(args.catalog)
-    try:
-        return catalog.lookup(name)
-    except cat.UnknownModelError:
-        known = ", ".join(catalog.names())
-        raise CliError(EXIT_UNKNOWN, f"unknown model {name!r}; known: {known}") from None
+    record = catalog.lookup(name)
+    if record is None:
+        known = ", ".join(r.name for r in catalog.models)
+        raise CliError(EXIT_UNKNOWN, f"unknown model {name!r}; known: {known}")
+    return record
 
 
 def _consistency_warnings(records) -> list[str]:
@@ -199,6 +201,14 @@ def _consistency_warnings(records) -> list[str]:
                          f"by (recall={r.spec.recall}, fpr={r.spec.fpr}, prevalence="
                          f"{r.spec.eval_prevalence}) by {gap:.4f} (> {met.EPS_CONSISTENCY})")
     return lines
+
+
+def _model_warnings(record: cat.ModelRecord, args: argparse.Namespace) -> list[str]:
+    """Warnings of a command whose screener latency defaults to the ``--model`` row's."""
+    lines = []
+    if record.latency_provenance == cat.LATENCY_LOWER_BOUND and args.tau_m is None:
+        lines.append(OPTIMISTIC_LATENCY)
+    return lines + _consistency_warnings([record])
 
 
 def _detector_inputs(record: cat.ModelRecord) -> dict:
@@ -249,12 +259,9 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
                        "delta_ratio": args.delta_ratio})
     out.results["screener_precision"] = _tagged(scr.precision, "derived")
     out.results["screener_recall"] = _tagged(scr.recall, "derived")
-    out.results["min_extra_ratio"] = _tagged(bnd.min_extra_ratio(scr.recall), "derived")
-    if record.latency_provenance == cat.LATENCY_LOWER_BOUND and args.tau_m is None and tau_m is not None:
-        out.warnings.append(
-            "screener latency is a published lower bound; results are optimistic"
-        )
-    out.warnings += _consistency_warnings([record])
+    min_ratio = bnd.min_extra_ratio(scr.recall)
+    out.results["min_extra_ratio"] = _tagged(min_ratio, "derived")
+    out.warnings = _model_warnings(record, args)
 
     if scr.precision <= pi:
         raise CliError(
@@ -272,7 +279,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     elif args.delta_ratio is not None and args.delta_ratio < 0:  # echoed, though nothing reads it
         raise met.MetricsError(f"dn_ratio must be >= 0, got {args.delta_ratio}")
     if tau_m is not None and tau_v is not None:
-        dn = args.delta_ratio if args.delta_ratio is not None else bnd.min_extra_ratio(scr.recall)
+        dn = args.delta_ratio if args.delta_ratio is not None else min_ratio
         config = bnd.PipelineConfig(pi=pi, n=100.0, r_v=1.0, tau_v=tau_v,
                                     p_m=scr.precision, r_m=scr.recall, tau_m=tau_m)
         report = bnd.evaluate(config, dn)
@@ -319,25 +326,22 @@ def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     return out, EXIT_OK
 
 
-def _simulate_config(
-    args: argparse.Namespace,
-) -> tuple[sim.SimConfig, bnd.PipelineConfig, dict, list[str]]:
-    """Check the whole scenario before any trial runs.
+def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+    """Check the whole scenario, then sample it and compare with the model.
 
-    Returns (simulated config, analytic config, inputs, warnings).  The
-    analytic P_M is the published one under ``as-published`` with ``--model``,
-    and the precision at the generator's pi otherwise; ``inputs`` echoes that mode.
+    Nothing samples before every check has run.  The analytic verdict uses
+    the published P_M under ``as-published`` with ``--model``, and the
+    precision at the generator's pi otherwise; ``inputs`` echoes that mode.
     """
-    inputs: dict = {}
-    warnings: list[str] = []
+    out = OutputRecord(command="simulate")
     if args.model is not None:
         record = _resolve_model(args)
-        warnings = _consistency_warnings([record])
+        out.warnings = _model_warnings(record, args)
         scr = met.invert_detector(record.spec)
         tpr_m = scr.recall if args.tpr_m is None else args.tpr_m
         fpr_m = scr.fpr if args.fpr_m is None else args.fpr_m
         tau_m = args.tau_m if args.tau_m is not None else scr.latency
-        inputs.update(_detector_inputs(record))
+        out.inputs.update(_detector_inputs(record))
     else:
         if args.tpr_m is None or args.fpr_m is None:
             raise CliError(EXIT_INVALID, "either --model or both --tpr-m/--fpr-m are required")
@@ -367,16 +371,16 @@ def _simulate_config(
         trials=args.trials,
         seed=args.seed,
     )
-    if sim.expected_outcome(cfg)["survivors"].mean == 0:  # a screener that passes nothing
+    model = sim.expected_outcome(cfg)
+    if model["survivors"].mean == 0:  # a screener that passes nothing
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
     precision_mode = args.precision_mode if args.model is not None else PRECISION_CONSISTENT
-    if precision_mode == PRECISION_AS_PUBLISHED:
-        p_m = scr.precision
-    else:
-        p_m = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
+    p_cons = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
+    p_m = scr.precision if precision_mode == PRECISION_AS_PUBLISHED else p_cons
     pipeline = bnd.PipelineConfig(pi=cfg.pi, n=float(cfg.n), r_v=cfg.r_v, tau_v=cfg.tau_v,
                                   p_m=p_m, r_m=cfg.tpr_m, tau_m=cfg.tau_m)
-    inputs.update({
+    report = bnd.evaluate(pipeline, cfg.delta_n / cfg.n)
+    out.inputs.update({
         "pi": args.pi, "n": args.n, "delta_n": delta_n,
         "tpr_m": tpr_m, "fpr_m": fpr_m,
         "tau_m_seconds": tau_m, "tau_v_seconds": args.tau_v,
@@ -384,43 +388,34 @@ def _simulate_config(
         "trials": args.trials, "seed": args.seed, "workers": args.workers,
         "precision_mode": precision_mode,
     })
-    return cfg, pipeline, inputs, warnings
 
-
-def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    cfg, pipeline, inputs, warnings = _simulate_config(args)
-    report = bnd.evaluate(pipeline, cfg.delta_n / cfg.n)
     outcome = sim.compare(cfg, workers=args.workers)
     probe = outcome.survivor_precision
     if probe is None:  # the screener can pass items, but no trial's did
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
-
-    results: dict = {"trials": cfg.trials, "empirical_verdict": outcome.verdict}
+    out.results = {"trials": cfg.trials, "empirical_verdict": outcome.verdict}
     agree_all = True
-    for key, model in sim.expected_outcome(cfg).items():
+    for key, expected in model.items():
         stat = outcome.stats[key]
         # few small trials can come out identical, with an empirical SE of 0;
         # the model's own SE keeps that sampling noise from reading as a regression
-        agrees = abs(stat.mean - model.mean) <= 3.0 * max(stat.se, model.se)
+        agrees = abs(stat.mean - expected.mean) <= 3.0 * max(stat.se, expected.se)
         agree_all = agree_all and agrees
-        results[key] = {
+        out.results[key] = {
             "mean": stat.mean,
             "se": stat.se,
-            "analytic": model.mean,
+            "analytic": expected.mean,
             "within_3se": agrees,
         }
-    results["analytic_agreement"] = agree_all
-    results["screener_precision"] = {
-        "as_published": pipeline.p_m,
-        "prevalence_consistent": met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi),
+    out.results["analytic_agreement"] = agree_all
+    out.results["screener_precision"] = {
+        "as_published": p_m,
+        "prevalence_consistent": p_cons,
         "empirical_mean": probe.mean,
         "empirical_se": probe.se,
     }
-    results["analytic_verdict"] = report.verdict
-
-    out = OutputRecord(command="simulate", inputs=inputs, results=results, warnings=warnings)
-    code = EXIT_OK if agree_all else EXIT_REGRESSION
-    return out, code
+    out.results["analytic_verdict"] = report.verdict
+    return out, EXIT_OK if agree_all else EXIT_REGRESSION
 
 
 def _reproduce_rows() -> list[list]:

@@ -185,6 +185,19 @@ class TestEvaluate:
             with pytest.raises(MetricsError, match=message):
                 PipelineConfig(**dict(good, **{field: value}))
 
+    def test_negative_extra_ratio_rejected(self):
+        config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 10.0)
+        with pytest.raises(MetricsError, match="dn_ratio must be >= 0, got -0.1"):
+            evaluate(config, -0.1)
+        with pytest.raises(MetricsError, match="dn_ratio must be >= 0, got -0.1"):
+            max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, -0.1)
+
+    def test_precision_above_one_rejected(self):
+        with pytest.raises(MetricsError, match=r"p_m must be in \(0, 1\], got 1.5"):
+            max_model_time(300.0, VDP_R_M, 1.5, 0.38)
+        with pytest.raises(MetricsError, match=r"p_m must be in \(0, 1\], got 1.5"):
+            min_validator_time(10.0, VDP_R_M, 1.5, 0.38)
+
     def test_missing_screener_latency(self):
         for tau_m in (None, -1.0):
             with pytest.raises(MetricsError, match="latency"):

@@ -14,7 +14,6 @@ from pipegate.catalog import (
     BenchmarkTimes,
     Catalog,
     CatalogError,
-    UnknownModelError,
     builtin_benchmark,
     builtin_catalog,
     load_catalog,
@@ -45,8 +44,7 @@ class TestBuiltin:
     def test_lookup_case_insensitive(self):
         catalog = builtin_catalog()
         assert catalog.lookup("VulDeePecker on Reveal").spec.fpr == 0.11
-        with pytest.raises(UnknownModelError):
-            catalog.lookup("NoSuchModel")
+        assert catalog.lookup("NoSuchModel") is None
 
     def test_benchmark(self):
         bm = builtin_benchmark()
@@ -162,6 +160,35 @@ class TestLoadCatalog:
         path.write_bytes(content)
         with pytest.raises(CatalogError, match=f"^{re.escape(str(path))}: {message}$"):
             load_catalog(path)
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "top level must be an object"),
+        ({"modles": []}, "unknown top-level field(s) ['modles']"),
+        ({"models": {}}, "'models' must be a list"),
+        ({"models": [[]]}, "models[0]: expected an object"),
+        ({"models": [dict(VALID_DOC["models"][0], name=" ")]},
+         "models[0]: field 'name' must be a non-empty string"),
+        ({"models": [dict(VALID_DOC["models"][0], precision="0.9")]},
+         "models[0]: field 'precision' must be a number, got '0.9'"),
+        ({"models": [dict(VALID_DOC["models"][0], recall=True)]},
+         "models[0]: field 'recall' must be a number, got True"),
+        ({"models": [VALID_DOC["models"][0]] * 2}, "duplicate model name: 'LineVul'"),
+        ({"benchmark": []}, "benchmark: expected an object"),
+        ({"benchmark": dict(VALID_DOC["benchmark"], median2=1)},
+         "benchmark: unknown field(s) ['median2']"),
+        ({"benchmark": {k: v for k, v in VALID_DOC["benchmark"].items() if k != "mean"}},
+         "benchmark: missing field(s) ['mean']"),
+        ({"benchmark": dict(VALID_DOC["benchmark"], prevalence=1.0)},
+         "benchmark: prevalence must be in (0, 1)"),
+    ], ids=["not-object", "unknown-top", "models-not-list", "model-not-object", "blank-name",
+            "string-number", "bool-number", "duplicate", "benchmark-not-object",
+            "benchmark-unknown", "benchmark-missing", "benchmark-prevalence"])
+    def test_malformed_document_names_file(self, tmp_path, doc, message):
+        # a command may read two catalog files; each error says which one
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(CatalogError) as info:
+            load_catalog(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_duplicate_names(self, tmp_path):
         doc = {"models": [VALID_DOC["models"][0], VALID_DOC["models"][0]]}

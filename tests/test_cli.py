@@ -78,6 +78,18 @@ class TestInvert:
         assert err.startswith(f"error: {path}: cannot read (") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_model_file_needs_one_model(self, capsys, tmp_path, count):
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps({"models": [
+            {"name": f"m{i}", "precision": 0.87, "recall": 0.84, "prevalence": 0.29}
+            for i in range(count)
+        ]}))
+        got = run_cli(capsys, "invert", "--model", str(path))
+        assert got == (3, "", f"error: {path}: expected exactly one model in a model file, "
+                              f"found {count}\n")
+
+
 class TestBounds:
     def test_fixed_model_query(self, capsys):
         code, doc, _ = run_json(
@@ -121,6 +133,11 @@ class TestBounds:
         )
         assert code == 3
         assert "headroom" in err
+
+    def test_no_latency_and_no_tau_v_exit_3(self, capsys):
+        # LineVul publishes no latency, so there is nothing to plan against
+        got = run_cli(capsys, "bounds", "--model", "LineVul", "--pi", "0.38")
+        assert got == (3, "", "error: one of --tau-m / --tau-v is required\n")
 
     def test_lower_bound_latency_warns_optimistic(self, capsys):
         code, doc, _ = run_json(capsys, "bounds", "--model", "LineVD", "--pi", "0.38")
@@ -173,6 +190,13 @@ class TestLimits:
         code, parsed, _ = run_json(capsys, "limits", "--benchmark", str(path))
         assert code == 0
         assert parsed["inputs"]["benchmark"]["q25"] == 1
+
+    def test_bad_benchmark_names_file_and_section(self, capsys, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"benchmark": {"q25": 1, "median": 2, "q75": 3, "mean": 4,
+                                                  "prevalence": 1.0}}))
+        got = run_cli(capsys, "limits", "--benchmark", str(path))
+        assert got == (3, "", f"error: {path}: benchmark: prevalence must be in (0, 1)\n")
 
     def test_empty_benchmark_means_builtin(self, capsys, tmp_path, monkeypatch):
         # an empty --benchmark counts as not given, as an empty --catalog does:
@@ -229,7 +253,11 @@ class TestConsistencyWarnings:
     def test_simulate_warns_for_its_model(self, capsys, catalog):
         code, doc, _ = run_json(capsys, "simulate", "--model", "x", "--catalog", catalog,
                                 "--pi", "0.38", "--n", "1000", "--trials", "3", "--tau-v", "30")
-        assert (code, doc["warnings"]) == (0, [self.X_WARNING])
+        assert code == 0
+        assert doc["warnings"] == [
+            "screener latency is a published lower bound; results are optimistic",
+            self.X_WARNING,
+        ]
 
     def test_model_file_reads_no_catalog(self, capsys, tmp_path, monkeypatch):
         one = tmp_path / "one.json"
@@ -453,6 +481,11 @@ class TestSimulate:
         )
         assert (code, out, err) == (3, "", "error: r_m must be in (0, 1], got 0.0\n")
 
+    def test_screener_rates_required_exit_3(self, capsys):
+        got = run_cli(capsys, "simulate", "--tpr-m", "0.5", "--pi", "0.38", "--tau-v", "1",
+                      "--tau-m", "1")
+        assert got == (3, "", "error: either --model or both --tpr-m/--fpr-m are required\n")
+
     def test_missing_latency_exit_3(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--model", "LineVul", "--pi", "0.38",
@@ -646,6 +679,35 @@ class TestCliPlumbing:
     @pytest.mark.parametrize("argv,code,digest", SNAPSHOT)
     def test_closed_form_json_snapshot(self, capsys, argv, code, digest):
         got, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+    # sha256 of the whole `--format table` and `--format csv` stdout of the
+    # same argvs, and of one seeded simulate run
+    TEXT_SNAPSHOT = [
+        (SNAPSHOT[0][0], 0, "0c4d0ec2adc8c107c853ddcbba270a8e6e1dae07377d9cccabda9378c1b35103",
+         "9ea5ab11594bf8ced4f5c7b930093073792ef64f9c0b5e1adbc088392b1124ab"),
+        (SNAPSHOT[1][0], 0, "2d9b8699ebee21a38c4f9e45858903764d1b6bad7620ee12d808697ca7d414e2",
+         "a35033dea6e114325eaab024997a75eb435dd1721312ecae4c946561e7ebae78"),
+        (SNAPSHOT[2][0], 0, "46d48566df0e6532d1d55502745f961fdb13a44ce40a5a620ab4e0b03e5e8a28",
+         "5a3fbda386758b8b842c453c0cb61fd42e2eb4e469231d50351eb53b14c66ef0"),
+        (SNAPSHOT[3][0], 0, "b9196d60810b0e630695606fd87c0f965a98f21d832ae7cf03d6534c183dd2c2",
+         "c5cdfe660dd07c27e2723cef5ca2d03945f41e05173b5dc515f2885847b6057e"),
+        (SNAPSHOT[4][0], 0, "718cf480e37e270a2dd76e41344edd6a13b08d1e654d5cb5f6017f8d6d8540e1",
+         "01492bdcedd09717c9794d2bcf29435983dc84df898691c388b820cda76846ab"),
+        (SNAPSHOT[5][0], 1, "4a3115ff9f3999900e459bfc9dd1e172f943bacaf1bb5ac5a14659cd6241b4bc",
+         "ed91d02e4ef0a2eb5c2874e16b62bb8ebac6aa748f388db06bc863034877f341"),
+        ((*TestSimulate.GOLDEN[0][0].split(), "--workers", "1"), 0,
+         "b73f98ca5b33fd959aaf7340aec65da819bf95945763640151f37ccd23ae01f3",
+         "ad4d03529c5f8b302b8a512318b37ce8e98e20855df98a58c00014b51685aa7c"),
+    ]
+
+    @pytest.mark.parametrize("argv,code,table_digest,csv_digest", TEXT_SNAPSHOT,
+                             ids=["invert-vdp", "invert-linevul", "bounds-vdp", "bounds-ivdetect",
+                                  "limits", "reproduce", "simulate-golden-0"])
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_text_snapshot(self, capsys, argv, code, table_digest, csv_digest, fmt):
+        got, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        digest = table_digest if fmt == "table" else csv_digest
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
     def test_json_roundtrips(self, capsys):

@@ -130,6 +130,10 @@ class TestDetectorInversion:
         with pytest.raises(MetricsError):
             invert_detector_precision(1.0, 0.5, 0.1)
 
+    def test_zero_recall_with_fpr_rejected(self):
+        with pytest.raises(MetricsError, match="detector recall must be > 0 when FPR > 0"):
+            invert_detector_precision(0.5, 0.0, 0.1)
+
     def test_recall_and_fpr(self):
         # screener recall is 1 - detector FPR, screener FPR 1 - detector recall
         assert invert_detector(ClassifierSpec(0.87, 0.84, 0.05)).recall == 0.95
@@ -219,6 +223,12 @@ class TestSpecTypes:
     def test_consistent_spec_no_warning(self):
         spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, eval_prevalence=0.29)
         assert spec.consistency_gap() <= EPS_CONSISTENCY
+
+    def test_consistency_gap_undefined(self):
+        # no FPR to imply a precision from, or a classifier that passes nothing
+        assert ClassifierSpec(precision=0.9, recall=0.5, eval_prevalence=0.5).consistency_gap() is None
+        spec = ClassifierSpec(precision=0.9, recall=0.0, fpr=0.0, eval_prevalence=0.5)
+        assert spec.consistency_gap() is None
 
     def test_screener_rates(self):
         spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, latency=156.0)

@@ -37,10 +37,10 @@ PUBLIC = {
     "bounds": ["PipelineConfig", "ModelTimeBudget", "BoundsReport", "VERDICT_CONVENIENT",
                "VERDICT_NOT_CONVENIENT", "VERDICT_BOUNDARY", "min_extra_ratio",
                "max_model_time", "min_validator_time", "evaluate"],
-    "catalog": ["CatalogError", "UnknownModelError", "FPR_REPORTED", "FPR_BAYES",
-                "LATENCY_REPORTED", "LATENCY_LOWER_BOUND", "LATENCY_UNKNOWN", "ModelRecord",
-                "BenchmarkTimes", "Catalog", "builtin_catalog", "builtin_benchmark",
-                "load_catalog", "PUBLISHED_TIME_LIMITS", "PUBLISHED_PLANNING"],
+    "catalog": ["CatalogError", "FPR_REPORTED", "FPR_BAYES", "LATENCY_REPORTED",
+                "LATENCY_LOWER_BOUND", "LATENCY_UNKNOWN", "ModelRecord", "BenchmarkTimes",
+                "Catalog", "builtin_catalog", "builtin_benchmark", "load_catalog",
+                "PUBLISHED_TIME_LIMITS", "PUBLISHED_PLANNING"],
     "simulate": ["SimConfig", "Stat", "SimOutcome", "run_baseline", "run_augmented", "compare",
                  "expected_outcome", "VERDICT_INCONCLUSIVE", "NOTHING_SURVIVES"],
     "cli": ["main", "OutputRecord"],
