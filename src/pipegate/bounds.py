@@ -32,13 +32,13 @@ from pipegate.metrics import MetricsError, _check_unit
 __all__ = [
     "PipelineConfig",
     "ModelTimeBudget",
-    "BoundsReport",
     "VERDICT_CONVENIENT",
     "VERDICT_NOT_CONVENIENT",
     "VERDICT_BOUNDARY",
     "min_extra_ratio",
     "max_model_time",
     "min_validator_time",
+    "expected_figures",
     "evaluate",
 ]
 
@@ -89,16 +89,6 @@ class ModelTimeBudget:
 
     relaxed: float
     tight: float | None
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    verdict: str
-    binding: str | None
-    baseline_tp: float
-    augmented_tp: float
-    baseline_time: float
-    augmented_time: float
 
 
 def _check_screener(r_m: float, p_m: float, pi: float) -> None:
@@ -162,26 +152,40 @@ def _leq(a: float, b: float) -> tuple[bool, bool]:
     return a <= b + tol, a < b - tol
 
 
-def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
+def expected_figures(pi: float, n: float, n_total: float, r_v: float, r_m: float, q: float,
+                     tau_m: float, tau_v: float) -> dict[str, float]:
+    """The model: both pipelines' expected true patches and times, and the survivors.
+
+    The baseline validates all ``n`` patches; the augmented pipeline screens
+    ``n_total`` and validates the share q, its pass rate, that survives.
+    """
+    return {
+        "baseline_tp": r_v * pi * n,
+        "augmented_tp": r_v * r_m * pi * n_total,
+        "baseline_time": n * tau_v,
+        "augmented_time": tau_m * n_total + tau_v * q * n_total,
+        "survivors": q * n_total,
+    }
+
+
+def evaluate(config: PipelineConfig, dn_ratio: float) -> tuple[str, str | None]:
     """Full convenience check of one scenario at a chosen extra-volume ratio.
 
-    The report carries the four expected figures over N = n*(1 + dn_ratio):
-    true patches R_V*pi*n and R_V*R_M*pi*N, times n*tau_V and
-    (tau_M + tau_V*(R_M/P_M)*pi)*N.  Verdict is ``convenient`` iff
-    throughput does not drop and time does not grow, with at least one
-    strict; ties within 1e-9 relative on both give ``boundary``.
-    ``binding`` names the violated (or tying) constraint.
+    Compares the :func:`expected_figures` over N = n*(1 + dn_ratio) at the
+    pass rate q = (R_M/P_M)*pi and returns ``(verdict, binding)``.  Verdict
+    is ``convenient`` iff throughput does not drop and time does not grow,
+    with at least one strict; ties within 1e-9 relative on both give
+    ``boundary``.  ``binding`` names the violated (or tying) constraint.
     Finite inputs whose figures overflow raise: two infinite times tie, so
     any verdict drawn from them would be false.
     """
     if dn_ratio < 0:
         raise MetricsError(f"dn_ratio must be >= 0, got {dn_ratio}")
     c = config
-    n_total = c.n * (1.0 + dn_ratio)
-    base_tp = c.r_v * c.pi * c.n
-    base_time = c.n * c.tau_v
-    aug_tp = c.r_v * c.r_m * c.pi * n_total
-    aug_time = (c.tau_m + c.tau_v * (c.r_m / c.p_m) * c.pi) * n_total
+    f = expected_figures(c.pi, c.n, c.n * (1.0 + dn_ratio), c.r_v, c.r_m,
+                         (c.r_m / c.p_m) * c.pi, c.tau_m, c.tau_v)
+    base_tp, aug_tp = f["baseline_tp"], f["augmented_tp"]
+    base_time, aug_time = f["baseline_time"], f["augmented_time"]
     if not all(math.isfinite(x) for x in (base_tp, aug_tp, base_time, aug_time)):
         raise MetricsError("a pipeline figure is not a finite number; inputs too large")
 
@@ -189,24 +193,7 @@ def evaluate(config: PipelineConfig, dn_ratio: float) -> BoundsReport:
     time_ok, time_strict = _leq(aug_time, base_time)
     if tp_ok and time_ok:
         if tp_strict or time_strict:
-            verdict = VERDICT_CONVENIENT
-            binding = None
-        else:
-            verdict = VERDICT_BOUNDARY
-            binding = "throughput+time"
-    else:
-        verdict = VERDICT_NOT_CONVENIENT
-        failed = []
-        if not tp_ok:
-            failed.append("throughput")
-        if not time_ok:
-            failed.append("time")
-        binding = "+".join(failed)
-    return BoundsReport(
-        verdict=verdict,
-        binding=binding,
-        baseline_tp=base_tp,
-        augmented_tp=aug_tp,
-        baseline_time=base_time,
-        augmented_time=aug_time,
-    )
+            return VERDICT_CONVENIENT, None
+        return VERDICT_BOUNDARY, "throughput+time"
+    failed = [name for name, ok in (("throughput", tp_ok), ("time", time_ok)) if not ok]
+    return VERDICT_NOT_CONVENIENT, "+".join(failed)

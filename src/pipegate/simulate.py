@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pipegate.bounds import VERDICT_CONVENIENT, VERDICT_NOT_CONVENIENT
+from pipegate.bounds import VERDICT_CONVENIENT, VERDICT_NOT_CONVENIENT, expected_figures
 from pipegate.metrics import MetricsError, _check_unit, pass_rate
 
 __all__ = [
@@ -135,24 +135,24 @@ class SimOutcome:
 def expected_outcome(cfg: SimConfig) -> dict[str, Stat]:
     """The model's mean and standard error of each statistic in ``SimOutcome.stats``.
 
-    Every count is binomial, and its SE is one trial's binomial SD over
-    sqrt(trials).  The augmented time moves only with its survivors, tau_V
-    per survivor; the baseline time does not move at all.
+    The means are :func:`pipegate.bounds.expected_figures` at the sampled
+    screener's pass rate.  Every count is binomial, and its SE is one trial's
+    binomial SD over sqrt(trials).  The augmented time moves only with its
+    survivors, tau_V per survivor; the baseline time does not move at all.
     """
     m = cfg.n_total
     q = pass_rate(cfg.tpr_m, cfg.fpr_m, cfg.pi)
+    means = expected_figures(cfg.pi, cfg.n, m, cfg.r_v, cfg.tpr_m, q, cfg.tau_m, cfg.tau_v)
     root = math.sqrt(cfg.trials)
     survivors_sd = _binomial_sd(m, q)
-    return {
-        "baseline_tp": Stat(cfg.r_v * cfg.pi * cfg.n,
-                            _binomial_sd(cfg.n, cfg.pi * cfg.r_v) / root),
-        "augmented_tp": Stat(cfg.r_v * cfg.tpr_m * cfg.pi * m,
-                             _binomial_sd(m, cfg.pi * cfg.tpr_m * cfg.r_v) / root),
-        "baseline_time": Stat(cfg.n * cfg.tau_v, 0.0),
-        "augmented_time": Stat(cfg.tau_m * m + cfg.tau_v * q * m,
-                               cfg.tau_v * survivors_sd / root),
-        "survivors": Stat(q * m, survivors_sd / root),
+    ses = {
+        "baseline_tp": _binomial_sd(cfg.n, cfg.pi * cfg.r_v) / root,
+        "augmented_tp": _binomial_sd(m, cfg.pi * cfg.tpr_m * cfg.r_v) / root,
+        "baseline_time": 0.0,
+        "augmented_time": cfg.tau_v * survivors_sd / root,
+        "survivors": survivors_sd / root,
     }
+    return {key: Stat(mean, ses[key]) for key, mean in means.items()}
 
 
 def _binomial_sd(items: int, p: float) -> float:

@@ -11,6 +11,7 @@ from pipegate.bounds import (
     VERDICT_NOT_CONVENIENT,
     PipelineConfig,
     evaluate,
+    expected_figures,
     max_model_time,
     min_extra_ratio,
     min_validator_time,
@@ -22,42 +23,42 @@ VDP_R_M = 0.95
 
 
 def figures(pi=0.38, n=100, r_v=1.0, tau_v=1.0, p_m=1.0, r_m=1.0, tau_m=0.0, dn_ratio=0.0):
-    """The four expected pipeline figures, as ``evaluate`` reports them."""
-    return evaluate(PipelineConfig(pi, n, r_v, tau_v, p_m, r_m, tau_m), dn_ratio)
+    """The expected pipeline figures ``evaluate`` compares, at q = (R_M/P_M)*pi."""
+    return expected_figures(pi, n, n * (1.0 + dn_ratio), r_v, r_m, (r_m / p_m) * pi, tau_m, tau_v)
 
 
 class TestThroughput:
     def test_baseline_tp(self):
-        assert figures(0.38, 100, 1.0).baseline_tp == pytest.approx(38.0)
+        assert figures(0.38, 100, 1.0)["baseline_tp"] == pytest.approx(38.0)
         # 30 observed correct patches out of 78 generated
-        assert figures(0.38, 78, 1.0).baseline_tp == pytest.approx(29.64)
-        assert round(figures(0.38, 78, 1.0).baseline_tp) == 30
-        assert figures(0.29, 1000, 0.5).baseline_tp == pytest.approx(145.0)
+        assert figures(0.38, 78, 1.0)["baseline_tp"] == pytest.approx(29.64)
+        assert round(figures(0.38, 78, 1.0)["baseline_tp"]) == 30
+        assert figures(0.29, 1000, 0.5)["baseline_tp"] == pytest.approx(145.0)
 
     def test_baseline_time(self):
-        assert figures(n=100, tau_v=9.17).baseline_time == pytest.approx(917.0)
-        assert figures(n=10, tau_v=337.83).baseline_time == pytest.approx(3378.3)
+        assert figures(n=100, tau_v=9.17)["baseline_time"] == pytest.approx(917.0)
+        assert figures(n=10, tau_v=337.83)["baseline_time"] == pytest.approx(3378.3)
 
     def test_augmented_tp(self):
         # at dn/n = 1/R_M - 1 the screened pipeline keeps the baseline throughput
-        report = figures(0.38, 100, 1.0, r_m=VDP_R_M, dn_ratio=min_extra_ratio(VDP_R_M))
-        assert report.augmented_tp == pytest.approx(report.baseline_tp)
-        report = figures(0.4, 50, 0.9, r_m=1.0)
-        assert report.augmented_tp == pytest.approx(report.baseline_tp)
-        assert figures(0.5, 10, 0.5, r_m=0.5).augmented_tp == pytest.approx(1.25)
+        fig = figures(0.38, 100, 1.0, r_m=VDP_R_M, dn_ratio=min_extra_ratio(VDP_R_M))
+        assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"])
+        fig = figures(0.4, 50, 0.9, r_m=1.0)
+        assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"])
+        assert figures(0.5, 10, 0.5, r_m=0.5)["augmented_tp"] == pytest.approx(1.25)
 
     def test_augmented_time(self):
-        report = figures(0.38, 100, tau_v=10.0, p_m=1.0, r_m=1.0, tau_m=0.0)
-        assert report.augmented_time == pytest.approx(380.0)
+        fig = figures(0.38, 100, tau_v=10.0, p_m=1.0, r_m=1.0, tau_m=0.0)
+        assert fig["augmented_time"] == pytest.approx(380.0)
         # frozen arithmetic: (156 + 273.6*(R_M/P_M)*0.38) * 105.26
         expect = (156 + 273.6 * (VDP_R_M / VDP_P_M) * 0.38) * 105.26
-        report = figures(0.38, 105.26, tau_v=273.6, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=156)
-        assert report.augmented_time == pytest.approx(expect, rel=1e-12)
+        fig = figures(0.38, 105.26, tau_v=273.6, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=156)
+        assert fig["augmented_time"] == pytest.approx(expect, rel=1e-12)
         # at the true break-even validator time the pipelines tie exactly
         floor = min_validator_time(156, VDP_R_M, VDP_P_M, 0.38)
-        report = figures(0.38, 100, tau_v=floor, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=156,
-                         dn_ratio=min_extra_ratio(VDP_R_M))
-        assert report.augmented_time == pytest.approx(report.baseline_time, rel=1e-12)
+        fig = figures(0.38, 100, tau_v=floor, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=156,
+                      dn_ratio=min_extra_ratio(VDP_R_M))
+        assert fig["augmented_time"] == pytest.approx(fig["baseline_time"], rel=1e-12)
 
 
 class TestBoundsFormulas:
@@ -138,30 +139,27 @@ class TestBoundsFormulas:
 class TestEvaluate:
     def test_convenient_scenario(self):
         config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 156.0)
-        report = evaluate(config, 0.06)
-        assert report.verdict == VERDICT_CONVENIENT
-        assert report.binding is None
+        assert evaluate(config, 0.06) == (VERDICT_CONVENIENT, None)
 
     def test_perfect_free_screener_boundary_on_tp(self):
         config = PipelineConfig(0.38, 100, 1.0, 10.0, 1.0, 1.0, 0.0)
-        report = evaluate(config, 0.0)
         # tp ties exactly, time is strictly smaller
-        assert report.verdict == VERDICT_CONVENIENT
-        assert report.augmented_tp == pytest.approx(report.baseline_tp, rel=1e-12)
-        assert report.augmented_time < report.baseline_time
+        assert evaluate(config, 0.0) == (VERDICT_CONVENIENT, None)
+        fig = figures(0.38, 100, 1.0, tau_v=10.0)
+        assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"], rel=1e-12)
+        assert fig["augmented_time"] < fig["baseline_time"]
 
     def test_no_headroom_never_convenient(self):
         config = PipelineConfig(0.38, 100, 1.0, 300.0, 0.38, 0.95, 10.0)
-        report = evaluate(config, min_extra_ratio(0.95))
-        assert report.verdict == VERDICT_NOT_CONVENIENT
-        assert "time" in report.binding
+        verdict, binding = evaluate(config, min_extra_ratio(0.95))
+        assert verdict == VERDICT_NOT_CONVENIENT
+        assert "time" in binding
 
     def test_boundary_verdict_at_exact_tie(self):
         dn = min_extra_ratio(VDP_R_M)
         budget = max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, dn)
         config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, budget.tight)
-        report = evaluate(config, dn)
-        assert report.verdict == VERDICT_BOUNDARY
+        assert evaluate(config, dn) == (VERDICT_BOUNDARY, "throughput+time")
 
     def test_screener_passing_no_good_patch_rejected(self):
         with pytest.raises(MetricsError, match=r"r_m must be in \(0, 1\], got 0.0"):
@@ -224,8 +222,8 @@ class TestEvaluate:
             tau_m = max_model_time(tau_v, r_m, p_m, pi, dn).tight
             if tau_m < 0:
                 continue
+            fig = figures(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn)
+            assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"], rel=1e-9)
+            assert fig["augmented_time"] == pytest.approx(fig["baseline_time"], rel=1e-9)
             config = PipelineConfig(pi, n, r_v, tau_v, p_m, r_m, tau_m)
-            report = evaluate(config, dn)
-            assert report.augmented_tp == pytest.approx(report.baseline_tp, rel=1e-9)
-            assert report.augmented_time == pytest.approx(report.baseline_time, rel=1e-9)
-            assert report.verdict == VERDICT_BOUNDARY
+            assert evaluate(config, dn)[0] == VERDICT_BOUNDARY

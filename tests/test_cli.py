@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from pipegate import metrics as met
 from pipegate import simulate as sim
 from pipegate.cli import main
 
@@ -467,6 +468,34 @@ class TestSimulate:
         code, doc, _ = run_json(capsys, *self.ARGS)
         assert doc["inputs"]["precision_mode"] == "as-published"
 
+    @pytest.mark.parametrize("override", [("--tpr-m", "0.5"), ("--fpr-m", "0.16")])
+    def test_rate_override_uses_consistent_precision(self, capsys, override):
+        # the published P_M belongs to the row's rates, not to the screener sampled
+        code, doc, _ = run_json(
+            capsys, "simulate", "--model", "VulDeePecker", *override, "--pi", "0.38",
+            "--n", "2000", "--trials", "5", "--tau-v", "600",
+            "--precision-mode", "as-published",
+        )
+        assert code == 0
+        assert doc["inputs"]["precision_mode"] == "prevalence-consistent"
+        precision = doc["results"]["screener_precision"]
+        assert precision["as_published"] == precision["prevalence_consistent"]
+        assert precision["as_published"] == pytest.approx(
+            met.precision_at_prevalence(doc["inputs"]["tpr_m"], doc["inputs"]["fpr_m"], 0.38)
+        )
+
+    def test_rounded_constant_mean_agrees(self, capsys):
+        # every trial's baseline time is n * tau_v, but their mean misses it
+        # by an ulp; with a model SE of 0 only the relative floor agrees
+        code, doc, _ = run_json(
+            capsys, "simulate", "--model", "VulDeePecker", "--pi", "0.38", "--n", "333",
+            "--trials", "30", "--tau-v", "237.97",
+        )
+        stat = doc["results"]["baseline_time"]
+        assert stat["mean"] != stat["analytic"]
+        assert stat["within_3se"] is True
+        assert (code, doc["results"]["analytic_agreement"]) == (0, True)
+
     def test_single_trial_exit_3(self, capsys):
         # one trial has SE 0, so any sampling noise would read as a regression
         code, out, err = run_cli(capsys, *self.ARGS[:-4], "--trials", "1")
@@ -479,7 +508,7 @@ class TestSimulate:
             capsys, "simulate", "--model", "VulDeePecker", "--tpr-m", "0", "--pi", "0.38",
             "--n", "1000", "--tau-v", "600", "--trials", "5",
         )
-        assert (code, out, err) == (3, "", "error: r_m must be in (0, 1], got 0.0\n")
+        assert (code, out, err) == (3, "", "error: precision must be > 0, got 0.0\n")
 
     def test_screener_rates_required_exit_3(self, capsys):
         got = run_cli(capsys, "simulate", "--tpr-m", "0.5", "--pi", "0.38", "--tau-v", "1",

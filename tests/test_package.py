@@ -11,22 +11,31 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_bare_import_loads_no_submodule_and_no_numpy():
-    # a fresh interpreter: this process has long since imported everything
+def _fresh_import(statement: str) -> list[str]:
+    """stdout lines of ``statement`` run in a fresh interpreter on this tree's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, pipegate; print(pipegate.__file__); "
+    done = subprocess.run(
+        [sys.executable, "-c", statement], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    # a fresh interpreter: this process has long since imported everything
+    loaded = (
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' "
         "or m.startswith('pipegate.')))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    origin, loaded = done.stdout.splitlines()
+    origin, modules = _fresh_import(f"import sys, pipegate; print(pipegate.__file__); {loaded}")
     assert Path(origin).resolve().parent == SRC / "pipegate"
-    assert loaded == "[]"
+    assert modules == "[]"
+    # the closed-form model and the catalog stay numpy-free: only simulate needs it
+    (modules,) = _fresh_import(
+        f"import sys, pipegate.bounds, pipegate.metrics, pipegate.catalog; {loaded}"
+    )
+    assert modules == "['pipegate.bounds', 'pipegate.catalog', 'pipegate.metrics']"
 
 
 # each module's public surface, pinned so that adding or dropping a name is a visible change
@@ -34,9 +43,9 @@ PUBLIC = {
     "metrics": ["MetricsError", "ClassifierSpec", "EPS_CONSISTENCY", "bayes_fpr",
                 "invert_detector_precision", "pass_rate", "precision_at_prevalence",
                 "invert_detector"],
-    "bounds": ["PipelineConfig", "ModelTimeBudget", "BoundsReport", "VERDICT_CONVENIENT",
+    "bounds": ["PipelineConfig", "ModelTimeBudget", "VERDICT_CONVENIENT",
                "VERDICT_NOT_CONVENIENT", "VERDICT_BOUNDARY", "min_extra_ratio",
-               "max_model_time", "min_validator_time", "evaluate"],
+               "max_model_time", "min_validator_time", "expected_figures", "evaluate"],
     "catalog": ["CatalogError", "FPR_REPORTED", "FPR_BAYES", "LATENCY_REPORTED",
                 "LATENCY_LOWER_BOUND", "LATENCY_UNKNOWN", "ModelRecord", "BenchmarkTimes",
                 "Catalog", "builtin_catalog", "builtin_benchmark", "load_catalog",

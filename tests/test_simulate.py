@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pipegate import simulate
+from pipegate.bounds import expected_figures
 from pipegate.cli import main
 from pipegate.metrics import MetricsError, pass_rate, precision_at_prevalence
 from pipegate.simulate import (
@@ -216,6 +217,22 @@ class TestModel:
         m, q = cfg.n_total, pass_rate(cfg.tpr_m, cfg.fpr_m, cfg.pi)
         assert model["survivors"].se == math.sqrt(m * q * (1 - q)) / math.sqrt(cfg.trials)
         assert model["augmented_time"].se == pytest.approx(cfg.tau_v * model["survivors"].se)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"n": 333, "delta_n": 17, "tau_v": 237.97, "r_v": 0.8},
+        {"n": 100_000, "delta_n": 6000, "tpr_m": 0.5, "fpr_m": 0.01, "tau_m": 0.0},
+        {"pi": 0.05, "n": 7, "delta_n": 0, "tpr_m": 1.0, "fpr_m": 1.0, "tau_v": 1e-3},
+    ])
+    def test_means_are_the_bounds_figures(self, overrides):
+        # one home for the model: the simulated expectations are the closed
+        # forms at the sampled screener's pass rate, bit for bit
+        cfg = make_config(**overrides)
+        q = pass_rate(cfg.tpr_m, cfg.fpr_m, cfg.pi)
+        want = expected_figures(cfg.pi, cfg.n, cfg.n_total, cfg.r_v, cfg.tpr_m, q,
+                                cfg.tau_m, cfg.tau_v)
+        assert {key: stat.mean for key, stat in expected_outcome(cfg).items()} == want
+        assert list(expected_outcome(cfg)) == list(want)
 
 
 class TestCompare:
