@@ -25,8 +25,11 @@ at the offset where its kind of variate starts (labels at 0, screener at m,
 validator after both).  Philox is counter-based, so any offset is reached
 directly, and each generator's chunks hold exactly the variates that one
 ``random(m)`` call from that offset would return: the draw layout above is
-unchanged.  Trials are dispatched as contiguous blocks, one per worker
-thread.
+unchanged.  A trial whose draws fit one 8192-double chunk takes them in one
+call from the start of its stream instead.  Such small trials run in the
+calling thread, as many to a chunk as fit, and each mask takes one pass over
+a chunk's worth of trials.  Threads serve only larger trials, dispatched as
+contiguous blocks, one per worker thread.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -246,6 +249,46 @@ class _Worker:
             tp = good_survivors
         return tp, (bad_passed + good_survivors if augmented else m), good_survivors
 
+    def block(self, cfg: SimConfig, trials: range, stream: int) -> tuple:
+        """Per-trial (true positives, survivors, good survivors) of small trials.
+
+        A trial whose draws fit one chunk takes them in one call from the
+        start of its stream: they are the labels, screener and validator
+        variates that the chunked kernel's generators would draw, in that
+        order.  Each trial fills one row of a (trials, kinds, m) view of the
+        chunk, and each mask then takes one pass over the whole block.  A row
+        holds at most one chunk of items, so its counts fit 16 bits.
+        """
+        augmented = stream == _AUGMENTED_STREAM
+        m = cfg.n_total if augmented else cfg.n
+        kinds = _kinds(cfg, stream)
+        rows = len(trials)
+        u = self._u[: rows * kinds * m].reshape(rows, kinds, m)
+        good = self._good[: rows * m].reshape(rows, m)
+        passed = self._passed[: rows * m].reshape(rows, m)
+        hit = self._hit[: rows * m].reshape(rows, m)
+        rng = self._labels
+        self._key[0] = cfg.seed
+        self._counter[0] = 0
+        for t, row in zip(trials, u):
+            self._key[1] = (t << 1) | stream
+            rng.bit_generator.state = self._state
+            rng.random(out=row)
+        np.less(u[:, 0], cfg.pi, out=good)
+        bad_passed = 0
+        if augmented:
+            np.less(u[:, 1], cfg.fpr_m, out=passed)
+            np.greater(passed, good, out=passed)  # bad items passed
+            bad_passed = passed.sum(axis=1, dtype=np.uint16)
+            np.less(u[:, 1], cfg.tpr_m, out=hit)
+            good &= hit
+        tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
+        if cfg.r_v < 1.0:
+            np.less(u[:, -1], cfg.r_v, out=hit)
+            hit &= good
+            tp = hit.sum(axis=1, dtype=np.uint16)
+        return tp, (bad_passed + good_survivors if augmented else m), good_survivors
+
 
 def _usable_cpus() -> int:
     try:
@@ -254,36 +297,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _kinds(cfg: SimConfig, stream: int) -> int:
+    """Variate kinds per item: labels, the screener's if augmented, the validator's if R_V < 1."""
+    return 1 + (stream == _AUGMENTED_STREAM) + (cfg.r_v < 1.0)
+
+
 def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarray]:
     """Run every trial of one pipeline's stream; one row per statistic.
 
-    Trials are split into at most ``workers`` contiguous blocks, one thread
-    each, capped at the trial count and at the CPUs this process may use.
-    Results land at their trial index, so the output is identical for any
-    worker count or completion order.  Time is charged afterwards, tau_M
-    per item screened and tau_V per item reaching the validator.
+    Trials whose draws fit one chunk run in this thread, as many per block
+    as the chunk holds.  Larger trials are split into at most ``workers``
+    contiguous blocks, one thread each, capped at the trial count and at
+    the CPUs this process may use.  Results land at their trial index, so
+    the output is identical for any worker count or completion order.  Time
+    is charged afterwards, tau_M per item screened and tau_V per item
+    reaching the validator.
     """
     trials = cfg.trials
     try:
         counts = np.empty((3, trials), dtype=np.float64)
     except MemoryError:
         raise MetricsError(f"trials={trials}: per-trial results do not fit in memory") from None
-    threads = max(1, min(workers, trials, _usable_cpus()))
-    blocks = [range(trials * i // threads, trials * (i + 1) // threads) for i in range(threads)]
-
-    def work(block: range) -> None:
-        worker = _Worker()
-        for t in block:
-            counts[:, t] = worker.trial(cfg, t, stream)
-
-    if threads == 1:
-        work(blocks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, blocks))
     augmented = stream == _AUGMENTED_STREAM
     m = cfg.n_total if augmented else cfg.n
     tp, survivors, good_survivors = counts
+    draws = _kinds(cfg, stream) * m
+    if draws <= _CHUNK:
+        worker = _Worker()
+        step = _CHUNK // draws
+        for lo in range(0, trials, step):
+            hi = min(lo + step, trials)
+            tp[lo:hi], survivors[lo:hi], good_survivors[lo:hi] = worker.block(
+                cfg, range(lo, hi), stream)
+    else:
+        threads = max(1, min(workers, trials, _usable_cpus()))
+        blocks = [range(trials * i // threads, trials * (i + 1) // threads)
+                  for i in range(threads)]
+
+        def work(block: range) -> None:
+            worker = _Worker()
+            for t in block:
+                counts[:, t] = worker.trial(cfg, t, stream)
+
+        if threads == 1:
+            work(blocks[0])
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(work, blocks))
     time = (cfg.tau_m if augmented else 0.0) * m + cfg.tau_v * survivors
     return {"tp": tp, "time": time, "survivors": survivors, "good_survivors": good_survivors}
 

@@ -1,6 +1,7 @@
 """Monte Carlo oracle: determinism, unbiasedness, coupling, time accounting."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipegate import simulate
 from pipegate.bounds import expected_figures
@@ -88,17 +91,26 @@ def single_shot_trial(cfg, trial, stream):
     )
 
 
+CHUNK = simulate._CHUNK
+
+
 class TestChunkedKernel:
-    @pytest.mark.parametrize(
-        "items", [1, simulate._CHUNK - 1, simulate._CHUNK, 2 * simulate._CHUNK + 1]
-    )
+    @pytest.mark.parametrize("items", [
+        1, CHUNK - 1, CHUNK, 2 * CHUNK + 1,
+        # a trial draws kinds x items variates, kinds = 1 (baseline at R_V = 1)
+        # to 3 (augmented at R_V < 1): with CHUNK above, the largest trial of
+        # each kinds that fits one chunk and the smallest that does not
+        CHUNK + 1, CHUNK // 2, CHUNK // 2 + 1, CHUNK // 3, CHUNK // 3 + 1,
+        # 17 trials are not a multiple of the trials per chunk (7, 3 or 2) here
+        1060,
+    ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_single_shot_reference(self, items, workers):
         # the reference always draws the validator pass, which the kernel
         # skips at R_V = 1
         for r_v in (0.8, 1.0):
             cfg = make_config(
-                n=items, delta_n=0, trials=3, seed=2**64 - 1,
+                n=items, delta_n=0, trials=17, seed=2**64 - 1,
                 tpr_m=0.3, fpr_m=0.6, r_v=r_v,
             )
             base = run_baseline(cfg, workers=workers)
@@ -110,18 +122,63 @@ class TestChunkedKernel:
                 got = (aug["tp"][t], aug["survivors"][t], aug["good_survivors"][t])
                 assert got == (tp, surv, good_surv), r_v
 
+    @settings(max_examples=20, derandomize=True)
+    @given(
+        n=st.integers(1, 3 * CHUNK),
+        delta_n=st.integers(0, 64),
+        trials=st.integers(2, 40),
+        r_v=st.sampled_from([0.7, 1.0]),
+        workers=st.sampled_from([1, 3]),
+    )
+    def test_any_size_any_workers_same_arrays(self, n, delta_n, trials, r_v, workers):
+        cfg = make_config(n=n, delta_n=delta_n, trials=trials, r_v=r_v)
+        for run, stream in ((run_baseline, simulate._BASELINE_STREAM),
+                            (run_augmented, simulate._AUGMENTED_STREAM)):
+            got, want = run(cfg, workers=workers), run(cfg, workers=1)
+            assert list(got) == list(want)
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
+            last = trials - 1  # the last trial may end a partly filled block
+            row = (want["tp"][last], want["survivors"][last], want["good_survivors"][last])
+            assert row == single_shot_trial(cfg, last, stream)
+
     def test_validator_pass_skipped_only_at_full_recall(self, monkeypatch):
-        point = simulate._Worker._point
+        # how far into its stream each trial draws: at R_V = 1 the draws stop
+        # after the screener variates (after the labels, for the baseline)
+        ends = {}
+        init = simulate._Worker.__init__
 
-        def guarded(self, rng, offset):
-            if rng is self._validator:
-                raise AssertionError("validator pass drawn")
-            return point(self, rng, offset)
+        class Recording:
+            def __init__(self, rng, key):
+                self.bit_generator, self._rng, self._key = rng.bit_generator, rng, key
 
-        monkeypatch.setattr(simulate._Worker, "_point", guarded)
-        compare(make_config(n=100, delta_n=10, trials=3))
-        with pytest.raises(AssertionError, match="validator pass drawn"):
-            compare(make_config(n=100, delta_n=10, trials=3, r_v=0.9))
+            def random(self, out):
+                self._rng.random(out=out)
+                state = self.bit_generator.state
+                # Philox hands out four doubles per counter step
+                end = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+                stream = int(self._key[1])
+                ends[stream] = max(ends.get(stream, 0), end)
+
+        def recording_init(worker):
+            init(worker)
+            worker._labels, worker._screener, worker._validator = (
+                Recording(rng, worker._key)
+                for rng in (worker._labels, worker._screener, worker._validator)
+            )
+
+        monkeypatch.setattr(simulate._Worker, "__init__", recording_init)
+        # small trials take one draw each, and trials above a chunk the chunked kernel
+        for items, (r_v, validated) in itertools.product(
+                (100, CHUNK + 1), ((1.0, 0), (0.9, 1))):
+            ends.clear()
+            cfg = make_config(n=items, delta_n=10, trials=3, r_v=r_v)
+            compare(cfg)
+            want = {}
+            for t in range(cfg.trials):
+                want[t << 1 | simulate._BASELINE_STREAM] = (1 + validated) * cfg.n
+                want[t << 1 | simulate._AUGMENTED_STREAM] = (2 + validated) * cfg.n_total
+            assert ends == want, (items, r_v)
 
     @pytest.mark.parametrize("n", [2**10, 2**20])
     def test_memory_does_not_grow_with_n(self, n):
@@ -146,12 +203,23 @@ class TestChunkedKernel:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-        small = dict(n=100, delta_n=0)
-        run_augmented(make_config(trials=5, **small), workers=64)  # capped by CPUs
-        run_augmented(make_config(trials=2, **small), workers=64)  # capped by trials
-        run_augmented(make_config(trials=5, **small), workers=2)
-        run_augmented(make_config(trials=5, **small), workers=1)  # runs inline
+        big = dict(n=CHUNK + 1, delta_n=0)  # trials that take the chunked kernel
+        run_augmented(make_config(trials=5, **big), workers=64)  # capped by CPUs
+        run_augmented(make_config(trials=2, **big), workers=64)  # capped by trials
+        run_augmented(make_config(trials=5, **big), workers=2)
+        run_augmented(make_config(trials=5, **big), workers=1)  # runs inline
         assert sizes == [3, 2, 2]
+
+    def test_small_trials_start_no_pool(self, monkeypatch):
+        cfg = make_config(n=500, delta_n=30, trials=20, r_v=0.9)
+        want = compare(cfg, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
+        assert compare(cfg, workers=4) == want
 
 
 class TestBaseline:
