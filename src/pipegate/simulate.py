@@ -25,11 +25,11 @@ at the offset where its kind of variate starts (labels at 0, screener at m,
 validator after both).  Philox is counter-based, so any offset is reached
 directly, and each generator's chunks hold exactly the variates that one
 ``random(m)`` call from that offset would return: the draw layout above is
-unchanged.  A trial whose draws fit one 8192-double chunk takes them in one
-call from the start of its stream instead.  Such small trials run in the
-calling thread, as many to a chunk as fit, and each mask takes one pass over
-a chunk's worth of trials.  Threads serve only larger trials, dispatched as
-contiguous blocks, one per worker thread.
+unchanged.  A trial whose draws fit a quarter of a chunk (2048 doubles)
+takes them in one call from the start of its stream instead.  Such small
+trials run in the calling thread, as many to a chunk as fit, and each mask
+takes one pass over a chunk's worth of trials.  Threads serve only larger
+trials, dispatched as contiguous blocks, one per worker thread.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -69,6 +69,13 @@ _AUGMENTED_STREAM = 1
 # Doubles per draw: 64 KiB, so a chunk and the masks it is compared into
 # stay in a per-core L2 cache between the draw and the comparison.
 _CHUNK = 1 << 13
+
+# Trials of at most this many draws, four or more to a chunk, take one draw
+# call each and run in the calling thread: their re-keys and short numpy
+# calls hold the GIL, and on a 2-vCPU VM a second thread did not make them
+# faster.  From about 2,700 items per trial it made the chunked kernel up to
+# 1.2-1.5x as fast, and a trial alone in a chunk drew about 10% slower here.
+_INLINE_DRAWS = _CHUNK // 4
 
 
 @dataclass(frozen=True)
@@ -234,16 +241,12 @@ class _Worker:
             np.less(u, cfg.pi, out=good)
             if screener is not None:
                 screener.random(out=u)
-                np.less(u, cfg.fpr_m, out=passed)
-                np.greater(passed, good, out=passed)  # bad items passed
+                _screen(cfg, u, good, passed, hit)
                 bad_passed += int(np.count_nonzero(passed))
-                np.less(u, cfg.tpr_m, out=hit)
-                good &= hit
             good_survivors += int(np.count_nonzero(good))
             if validator is not None:
                 validator.random(out=u)
-                np.less(u, cfg.r_v, out=hit)
-                hit &= good
+                _validate(cfg, u, good, hit)
                 tp += int(np.count_nonzero(hit))
         if validator is None:
             tp = good_survivors
@@ -254,9 +257,10 @@ class _Worker:
 
         A trial whose draws fit one chunk takes them in one call from the
         start of its stream: they are the labels, screener and validator
-        variates that the chunked kernel's generators would draw, in that
-        order.  Each trial fills one row of a (trials, kinds, m) view of the
-        chunk, and each mask then takes one pass over the whole block.  A row
+        variates that :meth:`trial`'s generators would draw, in that order.
+        Each trial fills one row of a (trials, kinds, m) view of the chunk,
+        and each filter then takes one pass over the whole block, with the
+        same :func:`_screen` and :func:`_validate` as :meth:`trial`.  A row
         holds at most one chunk of items, so its counts fit 16 bits.
         """
         augmented = stream == _AUGMENTED_STREAM
@@ -277,17 +281,32 @@ class _Worker:
         np.less(u[:, 0], cfg.pi, out=good)
         bad_passed = 0
         if augmented:
-            np.less(u[:, 1], cfg.fpr_m, out=passed)
-            np.greater(passed, good, out=passed)  # bad items passed
+            _screen(cfg, u[:, 1], good, passed, hit)
             bad_passed = passed.sum(axis=1, dtype=np.uint16)
-            np.less(u[:, 1], cfg.tpr_m, out=hit)
-            good &= hit
         tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
         if cfg.r_v < 1.0:
-            np.less(u[:, -1], cfg.r_v, out=hit)
-            hit &= good
+            _validate(cfg, u[:, -1], good, hit)
             tp = hit.sum(axis=1, dtype=np.uint16)
         return tp, (bad_passed + good_survivors if augmented else m), good_survivors
+
+
+def _screen(cfg: SimConfig, u: np.ndarray, good: np.ndarray, passed: np.ndarray,
+            hit: np.ndarray) -> None:
+    """Screen items labelled ``good`` by their screener variates ``u``.
+
+    ``passed`` marks the bad items that pass, and ``good`` keeps only the
+    good items that pass.  ``hit`` is scratch.
+    """
+    np.less(u, cfg.fpr_m, out=passed)
+    np.greater(passed, good, out=passed)  # bad items passed
+    np.less(u, cfg.tpr_m, out=hit)
+    good &= hit
+
+
+def _validate(cfg: SimConfig, u: np.ndarray, good: np.ndarray, hit: np.ndarray) -> None:
+    """Mark in ``hit`` the ``good`` items that pass on their validator variates ``u``."""
+    np.less(u, cfg.r_v, out=hit)
+    hit &= good
 
 
 def _usable_cpus() -> int:
@@ -305,10 +324,10 @@ def _kinds(cfg: SimConfig, stream: int) -> int:
 def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarray]:
     """Run every trial of one pipeline's stream; one row per statistic.
 
-    Trials whose draws fit one chunk run in this thread, as many per block
-    as the chunk holds.  Larger trials are split into at most ``workers``
-    contiguous blocks, one thread each, capped at the trial count and at
-    the CPUs this process may use.  Results land at their trial index, so
+    Trials whose draws fit a quarter of a chunk run in this thread, as many
+    per block as the chunk holds.  Larger trials are split into at most
+    ``workers`` contiguous blocks, one thread each, capped at the trial count
+    and at the CPUs this process may use.  Results land at their trial index, so
     the output is identical for any worker count or completion order.  Time
     is charged afterwards, tau_M per item screened and tau_V per item
     reaching the validator.
@@ -322,7 +341,7 @@ def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarr
     m = cfg.n_total if augmented else cfg.n
     tp, survivors, good_survivors = counts
     draws = _kinds(cfg, stream) * m
-    if draws <= _CHUNK:
+    if draws <= _INLINE_DRAWS:
         worker = _Worker()
         step = _CHUNK // draws
         for lo in range(0, trials, step):

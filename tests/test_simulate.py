@@ -92,17 +92,19 @@ def single_shot_trial(cfg, trial, stream):
 
 
 CHUNK = simulate._CHUNK
+INLINE = simulate._INLINE_DRAWS
 
 
 class TestChunkedKernel:
     @pytest.mark.parametrize("items", [
-        1, CHUNK - 1, CHUNK, 2 * CHUNK + 1,
+        1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
         # a trial draws kinds x items variates, kinds = 1 (baseline at R_V = 1)
-        # to 3 (augmented at R_V < 1): with CHUNK above, the largest trial of
-        # each kinds that fits one chunk and the smallest that does not
-        CHUNK + 1, CHUNK // 2, CHUNK // 2 + 1, CHUNK // 3, CHUNK // 3 + 1,
-        # 17 trials are not a multiple of the trials per chunk (7, 3 or 2) here
-        1060,
+        # to 3 (augmented at R_V < 1): the largest trial of each kinds that
+        # takes one draw call in the calling thread, and the smallest that
+        # takes the chunked kernel
+        INLINE, INLINE + 1, INLINE // 2, INLINE // 2 + 1, INLINE // 3, INLINE // 3 + 1,
+        # 17 trials are not a multiple of the trials per chunk (13, 6 or 4) here
+        600,
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_single_shot_reference(self, items, workers):
@@ -209,6 +211,12 @@ class TestChunkedKernel:
         run_augmented(make_config(trials=5, **big), workers=2)
         run_augmented(make_config(trials=5, **big), workers=1)  # runs inline
         assert sizes == [3, 2, 2]
+        # the largest baseline trial that runs in the calling thread, and the
+        # smallest that does not
+        sizes.clear()
+        run_baseline(make_config(n=INLINE, delta_n=0, trials=5), workers=2)
+        run_baseline(make_config(n=INLINE + 1, delta_n=0, trials=5), workers=2)
+        assert sizes == [2]
 
     def test_small_trials_start_no_pool(self, monkeypatch):
         cfg = make_config(n=500, delta_n=30, trials=20, r_v=0.9)
