@@ -40,10 +40,21 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+# pipegate makes no BLAS call, yet the thread pool OpenBLAS starts as numpy
+# loads spins through start-up on a CPU the interpreter needs.  OpenBLAS reads
+# the variable once, as numpy loads it, so it is set for that import alone; a
+# value the user set, or a numpy already loaded, is left as it is.
+_one_blas_thread = "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules
+if _one_blas_thread:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _one_blas_thread:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from pipegate.bounds import VERDICT_CONVENIENT, VERDICT_NOT_CONVENIENT, expected_figures
 from pipegate.metrics import MetricsError, _check_unit, pass_rate
@@ -361,6 +372,8 @@ def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarr
         if threads == 1:
             work(blocks[0])
         else:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(work, blocks))
     time = (cfg.tau_m if augmented else 0.0) * m + cfg.tau_v * survivors

@@ -440,7 +440,6 @@ class TestSimulate:
         # this process or depending on the machine's overcommit policy
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        env["OPENBLAS_NUM_THREADS"] = "1"
         limit = 2 * 1024**3
 
         def cap_address_space():

@@ -203,7 +203,7 @@ class TestChunkedKernel:
                 sizes.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         big = dict(n=CHUNK + 1, delta_n=0)  # trials that take the chunked kernel
         run_augmented(make_config(trials=5, **big), workers=64)  # capped by CPUs
@@ -225,7 +225,7 @@ class TestChunkedKernel:
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started")
 
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
         assert compare(cfg, workers=4) == want
 
