@@ -18,18 +18,20 @@ validator variates.  At validator recall 1 no validator variates are drawn:
 stream, so every good item that reaches the validator counts without them
 and no other draw moves.
 
-Memory per worker thread is fixed, whatever n is: one 64 KiB chunk of 8192
-doubles and three 8 KiB chunk masks.  A trial makes one pass over its items,
-a chunk at a time, with up to three generators on its stream, each pointed
-at the offset where its kind of variate starts (labels at 0, screener at m,
+Memory per worker thread is fixed, whatever n is: one 192 KiB buffer of
+3 x 8192 doubles and three 24 KiB masks.  A trial makes one pass over its
+items, a chunk at a time, with one generator re-pointed per chunk at the
+offset where each kind of variate starts (labels at 0, screener at m,
 validator after both).  Philox is counter-based, so any offset is reached
-directly, and each generator's chunks hold exactly the variates that one
+directly, and each kind's chunks hold exactly the variates that one
 ``random(m)`` call from that offset would return: the draw layout above is
-unchanged.  A trial whose draws fit a quarter of a chunk (2048 doubles)
+unchanged.  A chunk holds the buffer's worth of draws, so a trial with fewer
+kinds of variate takes wider chunks.  A trial whose draws fit 2048 doubles
 takes them in one call from the start of its stream instead.  Such small
-trials run in the calling thread, as many to a chunk as fit, and each mask
-takes one pass over a chunk's worth of trials.  Threads serve only larger
-trials, dispatched as contiguous blocks, one per worker thread.
+trials run in the calling thread, as many to a block of 8192 doubles as fit,
+and the same counting code as for a chunk takes one pass over each block.
+Threads serve only larger trials, dispatched as contiguous blocks, one per
+worker thread.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -77,15 +79,18 @@ NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
 _BASELINE_STREAM = 0
 _AUGMENTED_STREAM = 1
 
-# Doubles per draw: 64 KiB, so a chunk and the masks it is compared into
-# stay in a per-core L2 cache between the draw and the comparison.
+# Items per chunk of a trial that draws all three kinds of variate.  A
+# worker's buffer holds 3 * _CHUNK doubles (192 KiB), and a trial with fewer
+# kinds takes as many more items per chunk, so the per-chunk re-keys and row
+# sums are paid over more items.
 _CHUNK = 1 << 13
 
-# Trials of at most this many draws, four or more to a chunk, take one draw
-# call each and run in the calling thread: their re-keys and short numpy
-# calls hold the GIL, and on a 2-vCPU VM a second thread did not make them
-# faster.  From about 2,700 items per trial it made the chunked kernel up to
-# 1.2-1.5x as fast, and a trial alone in a chunk drew about 10% slower here.
+# Trials of at most this many draws, four or more to _CHUNK doubles, take
+# one draw call each and run in the calling thread: their re-keys and short
+# numpy calls hold the GIL, and on a 2-vCPU VM a second thread did not make
+# them faster.  From about 2,700 items per trial it made the chunked kernel
+# up to 1.2-1.5x as fast, and a trial alone in a chunk of 8192 doubles drew
+# about 10% slower there.
 _INLINE_DRAWS = _CHUNK // 4
 
 
@@ -189,135 +194,103 @@ def _summarize(samples: np.ndarray) -> Stat:
 
 
 class _Worker:
-    """One worker thread's generators and buffers, reused by each of its trials.
+    """One worker thread's generator and buffers, reused by each of its trials.
 
-    Re-keying a Philox through its state gives the stream a fresh
+    Re-keying the Philox through its state gives the stream a fresh
     ``Philox(key=...)`` would, without constructing a generator per trial.
     """
 
     def __init__(self) -> None:
-        self._key = np.zeros(2, dtype=np.uint64)
-        self._counter = np.zeros(4, dtype=np.uint64)
+        self._rng = np.random.Generator(np.random.Philox(key=0))
+        self._key = [0, 0]
+        self._counter = [0, 0, 0, 0]
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": self._counter, "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._labels, self._screener, self._validator = (
-            np.random.Generator(np.random.Philox(key=0)) for _ in range(3)
-        )
-        self._u = np.empty(_CHUNK, dtype=np.float64)
-        self._good = np.empty(_CHUNK, dtype=bool)
-        self._passed = np.empty(_CHUNK, dtype=bool)
-        self._hit = np.empty(_CHUNK, dtype=bool)
+        self._u = np.empty(3 * _CHUNK, dtype=np.float64)
+        self._skip = np.empty(3, dtype=np.float64)
+        self._good, self._passed, self._hit = (np.empty(3 * _CHUNK, dtype=bool) for _ in range(3))
 
-    def _point(self, rng: np.random.Generator, offset: int) -> np.random.Generator:
-        """Point ``rng`` at draw ``offset`` of the stream keyed in ``_key``.
+    def _draw(self, cfg: SimConfig, trial: int, stream: int, offset: int, out: np.ndarray) -> None:
+        """Fill ``out`` from draw ``offset`` of one trial's stream.
 
-        Philox yields doubles in blocks of four, one counter step each: skip
-        the whole blocks, then draw and drop the rest.
-        """
-        self._counter[0] = offset >> 2
-        rng.bit_generator.state = self._state
-        if offset & 3:
-            rng.random(out=self._u[: offset & 3])
-        return rng
-
-    def trial(self, cfg: SimConfig, trial: int, stream: int) -> tuple[int, int, int]:
-        """One trial's (true positives, survivors, good survivors).
-
-        The baseline stream has no screener: all n items reach the
-        validator, whose variates then start right after the labels.
+        Philox yields doubles in blocks of four, one counter step each: the
+        counter skips the whole blocks, and the rest are drawn into scratch.
         """
         self._key[0] = cfg.seed
         self._key[1] = (trial << 1) | stream
-        augmented = stream == _AUGMENTED_STREAM
-        m = cfg.n_total if augmented else cfg.n
-        labels = self._point(self._labels, 0)
-        screener = self._point(self._screener, m) if augmented else None
-        # at R_V = 1 the validator passes every good item: its variates, the
-        # stream's last, could change no count, so they are not drawn
-        validator = None
+        self._counter[0] = offset >> 2
+        self._rng.bit_generator.state = self._state
+        if offset & 3:
+            self._rng.random(out=self._skip[: offset & 3])
+        self._rng.random(out=out)
+
+    def _count(self, cfg: SimConfig, u: np.ndarray, augmented: bool) -> tuple:
+        """Per-row (true positives, survivors, good survivors) of a (rows, kinds, items) view.
+
+        Each row holds its items' labels, then their screener variates if
+        ``augmented``, then their validator variates if R_V < 1.  Without a
+        screener all items reach the validator.  A row holds at most
+        ``3 * _CHUNK`` items, so its counts fit 16 bits.
+        """
+        rows, _, items = u.shape
+        good, passed, hit = (mask[: rows * items].reshape(rows, items)
+                             for mask in (self._good, self._passed, self._hit))
+        np.less(u[:, 0], cfg.pi, out=good)
+        if augmented:
+            np.less(u[:, 1], cfg.fpr_m, out=passed)
+            np.greater(passed, good, out=passed)  # bad items passed
+            np.less(u[:, 1], cfg.tpr_m, out=hit)
+            good &= hit
+        tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
         if cfg.r_v < 1.0:
-            validator = self._point(self._validator, 2 * m if augmented else m)
-        bad_passed = good_survivors = tp = 0
-        for lo in range(0, m, _CHUNK):
-            size = min(_CHUNK, m - lo)
-            u, good = self._u[:size], self._good[:size]
-            passed, hit = self._passed[:size], self._hit[:size]
-            labels.random(out=u)
-            np.less(u, cfg.pi, out=good)
-            if screener is not None:
-                screener.random(out=u)
-                _screen(cfg, u, good, passed, hit)
-                bad_passed += int(np.count_nonzero(passed))
-            good_survivors += int(np.count_nonzero(good))
-            if validator is not None:
-                validator.random(out=u)
-                _validate(cfg, u, good, hit)
-                tp += int(np.count_nonzero(hit))
-        if validator is None:
-            tp = good_survivors
-        return tp, (bad_passed + good_survivors if augmented else m), good_survivors
+            np.less(u[:, -1], cfg.r_v, out=hit)
+            hit &= good
+            tp = hit.sum(axis=1, dtype=np.uint16)
+        survivors = passed.sum(axis=1, dtype=np.uint16) + good_survivors if augmented else items
+        return tp, survivors, good_survivors
 
-    def block(self, cfg: SimConfig, trials: range, stream: int) -> tuple:
-        """Per-trial (true positives, survivors, good survivors) of small trials.
+    def trial(self, cfg: SimConfig, trial: int, stream: int) -> np.ndarray:
+        """One trial's (true positives, survivors, good survivors).
 
-        A trial whose draws fit one chunk takes them in one call from the
-        start of its stream: they are the labels, screener and validator
-        variates that :meth:`trial`'s generators would draw, in that order.
-        Each trial fills one row of a (trials, kinds, m) view of the chunk,
-        and each filter then takes one pass over the whole block, with the
-        same :func:`_screen` and :func:`_validate` as :meth:`trial`.  A row
-        holds at most one chunk of items, so its counts fit 16 bits.
+        Each chunk of items takes each kind of variate from where that kind
+        starts in the stream, every kind m draws after the one before, so it
+        reads what one ``random(m)`` call from there would return.  A chunk
+        holds the buffer's worth of draws: fewer kinds take wider chunks.
         """
         augmented = stream == _AUGMENTED_STREAM
         m = cfg.n_total if augmented else cfg.n
         kinds = _kinds(cfg, stream)
-        rows = len(trials)
-        u = self._u[: rows * kinds * m].reshape(rows, kinds, m)
-        good = self._good[: rows * m].reshape(rows, m)
-        passed = self._passed[: rows * m].reshape(rows, m)
-        hit = self._hit[: rows * m].reshape(rows, m)
-        rng = self._labels
-        self._key[0] = cfg.seed
-        self._counter[0] = 0
+        width = 3 * _CHUNK // kinds
+        counts = np.zeros((3, 1), dtype=np.int64)
+        for lo in range(0, m, width):
+            size = min(width, m - lo)
+            u = self._u[: kinds * size].reshape(1, kinds, size)
+            for kind in range(kinds):
+                self._draw(cfg, trial, stream, kind * m + lo, u[0, kind])
+            for total, chunk in zip(counts, self._count(cfg, u, augmented)):
+                total += chunk
+        return counts[:, 0]
+
+    def block(self, cfg: SimConfig, trials: range, stream: int) -> tuple:
+        """Per-trial (true positives, survivors, good survivors) of small trials.
+
+        Each trial takes all its draws in one call from the start of its
+        stream, into one row of a (trials, kinds, m) view of the buffer; one
+        :meth:`_count` then covers the whole block.
+        """
+        augmented = stream == _AUGMENTED_STREAM
+        m = cfg.n_total if augmented else cfg.n
+        kinds = _kinds(cfg, stream)
+        u = self._u[: len(trials) * kinds * m].reshape(len(trials), kinds, m)
         for t, row in zip(trials, u):
-            self._key[1] = (t << 1) | stream
-            rng.bit_generator.state = self._state
-            rng.random(out=row)
-        np.less(u[:, 0], cfg.pi, out=good)
-        bad_passed = 0
-        if augmented:
-            _screen(cfg, u[:, 1], good, passed, hit)
-            bad_passed = passed.sum(axis=1, dtype=np.uint16)
-        tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
-        if cfg.r_v < 1.0:
-            _validate(cfg, u[:, -1], good, hit)
-            tp = hit.sum(axis=1, dtype=np.uint16)
-        return tp, (bad_passed + good_survivors if augmented else m), good_survivors
-
-
-def _screen(cfg: SimConfig, u: np.ndarray, good: np.ndarray, passed: np.ndarray,
-            hit: np.ndarray) -> None:
-    """Screen items labelled ``good`` by their screener variates ``u``.
-
-    ``passed`` marks the bad items that pass, and ``good`` keeps only the
-    good items that pass.  ``hit`` is scratch.
-    """
-    np.less(u, cfg.fpr_m, out=passed)
-    np.greater(passed, good, out=passed)  # bad items passed
-    np.less(u, cfg.tpr_m, out=hit)
-    good &= hit
-
-
-def _validate(cfg: SimConfig, u: np.ndarray, good: np.ndarray, hit: np.ndarray) -> None:
-    """Mark in ``hit`` the ``good`` items that pass on their validator variates ``u``."""
-    np.less(u, cfg.r_v, out=hit)
-    hit &= good
+            self._draw(cfg, t, stream, 0, row)
+        return self._count(cfg, u, augmented)
 
 
 def _usable_cpus() -> int:
@@ -335,8 +308,8 @@ def _kinds(cfg: SimConfig, stream: int) -> int:
 def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarray]:
     """Run every trial of one pipeline's stream; one row per statistic.
 
-    Trials whose draws fit a quarter of a chunk run in this thread, as many
-    per block as the chunk holds.  Larger trials are split into at most
+    Trials of at most ``_INLINE_DRAWS`` draws run in this thread, as many
+    per block as ``_CHUNK`` doubles hold.  Larger trials are split into at most
     ``workers`` contiguous blocks, one thread each, capped at the trial count
     and at the CPUs this process may use.  Results land at their trial index, so
     the output is identical for any worker count or completion order.  Time

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -20,6 +21,18 @@ from pipegate.cli import main
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "output_schema.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_bench_workloads():
+    """The benchmark's workload generator, loaded from its file; it imports no pipegate."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _load_bench_workloads()
 
 
 def run_cli(capsys, *argv):
@@ -295,11 +308,15 @@ class TestSimulate:
         assert doc4["inputs"].pop("workers") == 4
         assert doc1 == doc4
 
-    # sha256 of the canonical-JSON `results` object, pinned from the
-    # single-shot sampler.  Item counts (baseline n, augmented n + delta_n)
-    # straddle the 8192-variate draw chunk: 1000/1100 sit below it,
-    # 16000/16384 end on exactly 2 chunks, 16385/16385 spill 1 item into a
-    # third.  Trial counts 5 and 7 do not split evenly over 2 or 3 workers.
+    # sha256 of the canonical-JSON `results` object, pinned so that no change
+    # to the kernel moves a seeded bit.  A trial of k variate kinds (labels,
+    # the screener's if augmented, the validator's if R_V < 1) draws in
+    # chunks of 3 * 8192 // k items.  Item counts (baseline n, augmented
+    # n + delta_n) sit below, on and just past those widths: 1000 takes one
+    # draw call and 1100 one chunk, 16384 ends on exactly 2 chunks of 8192,
+    # and 12289 (2 kinds), 16385 (3 kinds) and 24577 (1 or 2 kinds) spill 1
+    # item into a last chunk.  Trial counts 5 and 7 do not split evenly over
+    # 2 or 3 workers.
     GOLDEN = [
         (
             "simulate --model VulDeePecker --pi 0.38 --n 1000 --delta-ratio 0.1"
@@ -316,6 +333,16 @@ class TestSimulate:
             " --seed 7 --precision-mode prevalence-consistent",
             "60ccc5b69cafc1422cc09beeb4c38d9b4aa86adfb3b8314f60dfc4e48d215b13",
         ),
+        (
+            "simulate --tpr-m 0.8 --fpr-m 0.3 --pi 0.2 --n 12289 --delta-ratio 0.3333"
+            " --tau-v 5 --tau-m 1 --validator-tpr 0.9 --trials 5 --seed 13",
+            "8b2941aeeb4c9ea7e1642327019c6f96c4bc31c2acb2ca190e0445be76598456",
+        ),
+        (
+            "simulate --model VulDeePecker --pi 0.38 --n 24577 --tau-v 600 --trials 5"
+            " --seed 17",
+            "0dc47b273a1d67f70ec0f9ebb1eb80a180e1c7f63e15afceccd8a0505e8cfe80",
+        ),
     ]
 
     @pytest.mark.parametrize("argv,digest", GOLDEN)
@@ -325,6 +352,20 @@ class TestSimulate:
         assert code == 0
         canonical = json.dumps(doc["results"], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+    # the benchmark's stored `sim-small` digests, re-derived in process at 2
+    # workers; the workload builds each argv, whose model name holds spaces
+    @pytest.mark.parametrize("argv", BENCH.sim_pool("sim-small"),
+                             ids=lambda argv: argv[2].replace(" ", "-"))
+    def test_benchmark_sim_small_digest(self, capsys, argv):
+        digests = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+        op = BENCH.sim_op(argv, 2)
+        code, out, _ = run_cli(capsys, *op.argv)
+        assert code == op.expect_exit == 0
+        results = json.loads(out)["results"]
+        assert results["analytic_agreement"] is True
+        canonical = json.dumps(results, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digests[op.digest_key]
 
     def test_one_augmented_run_per_simulate(self, capsys, monkeypatch):
         configs = []

@@ -103,8 +103,14 @@ class TestChunkedKernel:
         # takes one draw call in the calling thread, and the smallest that
         # takes the chunked kernel
         INLINE, INLINE + 1, INLINE // 2, INLINE // 2 + 1, INLINE // 3, INLINE // 3 + 1,
-        # 17 trials are not a multiple of the trials per chunk (13, 6 or 4) here
+        # 17 trials are not a multiple of the trials per block (13, 6 or 4) here
         600,
+        # a trial of fewer kinds takes wider chunks, 3 * CHUNK // kinds items:
+        # around each width.  At 3 kinds, CHUNK + 1 above ends on a 1-item
+        # chunk whose screener and validator variates start 1 and 2 draws
+        # into a Philox block of four, more draws than the chunk holds
+        3 * CHUNK // 2 - 1, 3 * CHUNK // 2, 3 * CHUNK // 2 + 1,
+        3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1,
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_single_shot_reference(self, items, workers):
@@ -151,23 +157,20 @@ class TestChunkedKernel:
         init = simulate._Worker.__init__
 
         class Recording:
-            def __init__(self, rng, key):
-                self.bit_generator, self._rng, self._key = rng.bit_generator, rng, key
+            def __init__(self, rng):
+                self.bit_generator, self._rng = rng.bit_generator, rng
 
             def random(self, out):
                 self._rng.random(out=out)
                 state = self.bit_generator.state
                 # Philox hands out four doubles per counter step
                 end = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
-                stream = int(self._key[1])
+                stream = int(state["state"]["key"][1])
                 ends[stream] = max(ends.get(stream, 0), end)
 
         def recording_init(worker):
             init(worker)
-            worker._labels, worker._screener, worker._validator = (
-                Recording(rng, worker._key)
-                for rng in (worker._labels, worker._screener, worker._validator)
-            )
+            worker._rng = Recording(worker._rng)
 
         monkeypatch.setattr(simulate._Worker, "__init__", recording_init)
         # small trials take one draw each, and trials above a chunk the chunked kernel
