@@ -153,6 +153,11 @@ class TestBounds:
         got = run_cli(capsys, "bounds", "--model", "LineVul", "--pi", "0.38")
         assert got == (3, "", "error: one of --tau-m / --tau-v is required\n")
 
+    def test_zero_validator_latency_exit_3(self, capsys):
+        # tau_M is the row's 156 s, so the verdict needs tau_V, and a zero one has no budget
+        got = run_cli(capsys, "bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "0")
+        assert got == (3, "", "error: validator latency must be present and > 0\n")
+
     def test_lower_bound_latency_warns_optimistic(self, capsys):
         code, doc, _ = run_json(capsys, "bounds", "--model", "LineVD", "--pi", "0.38")
         assert code == 0
