@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from pipegate.metrics import MetricsError, _check_unit
 
 __all__ = [
-    "PipelineConfig",
     "ModelTimeBudget",
     "VERDICT_CONVENIENT",
     "VERDICT_NOT_CONVENIENT",
@@ -48,39 +47,6 @@ VERDICT_BOUNDARY = "boundary"
 
 # Relative tolerance for calling the two convenience inequalities ties.
 _REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Scenario parameters: the seven numbers the model reads.
-
-    Generator prevalence ``pi`` and batch size ``n``; validator recall R_V
-    and per-patch time tau_V; screener precision P_M, recall R_M and
-    per-patch time tau_M.
-    """
-
-    pi: float
-    n: float
-    r_v: float
-    tau_v: float
-    p_m: float
-    r_m: float
-    tau_m: float
-
-    def __post_init__(self) -> None:
-        # P_M first: a screener passing no good patch has P_M = R_M = 0, and
-        # the error names its precision
-        _check_unit("precision", self.p_m, lo_open=True)
-        if self.n <= 0:
-            raise MetricsError(f"n must be > 0, got {self.n}")
-        if self.tau_v <= 0:
-            raise MetricsError("validator latency must be present and > 0")
-        if self.r_v <= 0:
-            raise MetricsError("validator recall must be > 0")
-        _check_unit("r_v", self.r_v)
-        if self.tau_m is None or self.tau_m < 0:
-            raise MetricsError("screener latency must be present and >= 0")
-        _check_screener(self.r_m, self.p_m, self.pi)
 
 
 @dataclass(frozen=True)
@@ -168,22 +134,27 @@ def expected_figures(pi: float, n: float, n_total: float, r_v: float, r_m: float
     }
 
 
-def evaluate(config: PipelineConfig, dn_ratio: float) -> tuple[str, str | None]:
+def evaluate(pi: float, n: float, r_v: float, r_m: float, q: float, tau_m: float, tau_v: float,
+             dn_ratio: float) -> tuple[str, str | None]:
     """Full convenience check of one scenario at a chosen extra-volume ratio.
 
     Compares the :func:`expected_figures` over N = n*(1 + dn_ratio) at the
-    pass rate q = (R_M/P_M)*pi and returns ``(verdict, binding)``.  Verdict
-    is ``convenient`` iff throughput does not drop and time does not grow,
-    with at least one strict; ties within 1e-9 relative on both give
+    pass rate q that the caller chose and returns ``(verdict, binding)``.
+    Verdict is ``convenient`` iff throughput does not drop and time does not
+    grow, with at least one strict; ties within 1e-9 relative on both give
     ``boundary``.  ``binding`` names the violated (or tying) constraint.
-    Finite inputs whose figures overflow raise: two infinite times tie, so
-    any verdict drawn from them would be false.
+    Checks, in order: tau_V > 0, R_V > 0 and dn_ratio >= 0.  The caller
+    range-checks the rest, and P_M > 0 before it forms q.  Finite inputs
+    whose figures overflow raise: two infinite times tie, so any verdict
+    drawn from them would be false.
     """
+    if tau_v <= 0:
+        raise MetricsError("validator latency must be present and > 0")
+    if r_v <= 0:
+        raise MetricsError("validator recall must be > 0")
     if dn_ratio < 0:
         raise MetricsError(f"dn_ratio must be >= 0, got {dn_ratio}")
-    c = config
-    f = expected_figures(c.pi, c.n, c.n * (1.0 + dn_ratio), c.r_v, c.r_m,
-                         (c.r_m / c.p_m) * c.pi, c.tau_m, c.tau_v)
+    f = expected_figures(pi, n, n * (1.0 + dn_ratio), r_v, r_m, q, tau_m, tau_v)
     base_tp, aug_tp = f["baseline_tp"], f["augmented_tp"]
     base_time, aug_time = f["baseline_time"], f["augmented_time"]
     if not all(math.isfinite(x) for x in (base_tp, aug_tp, base_time, aug_time)):

@@ -263,6 +263,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     out.results["min_extra_ratio"] = _tagged(min_ratio, "derived")
     out.warnings = _model_warnings(record, args)
 
+    met._check_unit("pi", pi, lo_open=True, hi_open=True)  # pi >= 1 is out of range, not headroom
     if scr.precision <= pi:
         raise CliError(
             EXIT_INVALID,
@@ -280,9 +281,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         raise met.MetricsError(f"dn_ratio must be >= 0, got {args.delta_ratio}")
     if tau_m is not None and tau_v is not None:
         dn = args.delta_ratio if args.delta_ratio is not None else min_ratio
-        config = bnd.PipelineConfig(pi=pi, n=100.0, r_v=1.0, tau_v=tau_v,
-                                    p_m=scr.precision, r_m=scr.recall, tau_m=tau_m)
-        verdict, binding = bnd.evaluate(config, dn)
+        q = (scr.recall / scr.precision) * pi
+        verdict, binding = bnd.evaluate(pi, 100.0, 1.0, scr.recall, q, tau_m, tau_v, dn)
         out.results["verdict"] = verdict
         if binding:
             out.results["binding_constraint"] = binding
@@ -379,9 +379,10 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     precision_mode = args.precision_mode if published else PRECISION_CONSISTENT
     p_cons = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
     p_m = scr.precision if precision_mode == PRECISION_AS_PUBLISHED else p_cons
-    pipeline = bnd.PipelineConfig(pi=cfg.pi, n=float(cfg.n), r_v=cfg.r_v, tau_v=cfg.tau_v,
-                                  p_m=p_m, r_m=cfg.tpr_m, tau_m=cfg.tau_m)
-    analytic_verdict, _ = bnd.evaluate(pipeline, cfg.delta_n / cfg.n)
+    met._check_unit("precision", p_m, lo_open=True)
+    q = (cfg.tpr_m / p_m) * cfg.pi
+    analytic_verdict, _ = bnd.evaluate(cfg.pi, float(cfg.n), cfg.r_v, cfg.tpr_m, q, cfg.tau_m,
+                                       cfg.tau_v, cfg.delta_n / cfg.n)
     out.inputs.update({
         "pi": args.pi, "n": args.n, "delta_n": delta_n,
         "tpr_m": tpr_m, "fpr_m": fpr_m,

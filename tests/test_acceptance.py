@@ -101,9 +101,9 @@ def test_criterion_2_fixed_model_reproduction():
 
 def _verdict_at(scr, tau_v: float, tau_m: float) -> tuple[str, str | None]:
     """Convenience check of screener ``scr`` at latency tau_m, minimum extra volume."""
-    config = bnd.PipelineConfig(pi=PI_PLANNING, n=1.0, r_v=1.0, tau_v=tau_v,
-                                p_m=scr.precision, r_m=scr.recall, tau_m=tau_m)
-    return bnd.evaluate(config, bnd.min_extra_ratio(scr.recall))
+    q = (scr.recall / scr.precision) * PI_PLANNING
+    return bnd.evaluate(PI_PLANNING, 1.0, 1.0, scr.recall, q, tau_m, tau_v,
+                        bnd.min_extra_ratio(scr.recall))
 
 
 def test_criterion_3_time_limit_grid():
@@ -223,11 +223,8 @@ def test_criterion_5_oracle_equivalence():
 
             # analytic verdict via the prevalence-consistent closed forms
             p_cons = met.precision_at_prevalence(scr.recall, scr.fpr, PI_PLANNING)
-            analytic, _ = bnd.evaluate(
-                bnd.PipelineConfig(pi=PI_PLANNING, n=float(n), r_v=1.0, tau_v=tau_v,
-                                   p_m=p_cons, r_m=scr.recall, tau_m=tau_m),
-                dn / n,
-            )
+            analytic, _ = bnd.evaluate(PI_PLANNING, float(n), 1.0, scr.recall,
+                                       (scr.recall / p_cons) * PI_PLANNING, tau_m, tau_v, dn / n)
             # its margins are the reference figures: (R_M/P_cons)*pi is the pass rate
             tp_margin = abs(expected["augmented_tp"] - expected["baseline_tp"])
             stats = outcome.stats

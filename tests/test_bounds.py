@@ -9,7 +9,6 @@ from pipegate.bounds import (
     VERDICT_BOUNDARY,
     VERDICT_CONVENIENT,
     VERDICT_NOT_CONVENIENT,
-    PipelineConfig,
     evaluate,
     expected_figures,
     max_model_time,
@@ -25,6 +24,11 @@ VDP_R_M = 0.95
 def figures(pi=0.38, n=100, r_v=1.0, tau_v=1.0, p_m=1.0, r_m=1.0, tau_m=0.0, dn_ratio=0.0):
     """The expected pipeline figures ``evaluate`` compares, at q = (R_M/P_M)*pi."""
     return expected_figures(pi, n, n * (1.0 + dn_ratio), r_v, r_m, (r_m / p_m) * pi, tau_m, tau_v)
+
+
+def verdict(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn_ratio):
+    """``evaluate`` at the published-precision pass rate q = (R_M/P_M)*pi."""
+    return evaluate(pi, n, r_v, r_m, (r_m / p_m) * pi, tau_m, tau_v, dn_ratio)
 
 
 class TestThroughput:
@@ -138,55 +142,54 @@ class TestBoundsFormulas:
 
 class TestEvaluate:
     def test_convenient_scenario(self):
-        config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 156.0)
-        assert evaluate(config, 0.06) == (VERDICT_CONVENIENT, None)
+        assert verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 156.0, 0.06) == (
+            VERDICT_CONVENIENT, None)
 
     def test_perfect_free_screener_boundary_on_tp(self):
-        config = PipelineConfig(0.38, 100, 1.0, 10.0, 1.0, 1.0, 0.0)
         # tp ties exactly, time is strictly smaller
-        assert evaluate(config, 0.0) == (VERDICT_CONVENIENT, None)
+        assert verdict(0.38, 100, 1.0, 10.0, 1.0, 1.0, 0.0, 0.0) == (VERDICT_CONVENIENT, None)
         fig = figures(0.38, 100, 1.0, tau_v=10.0)
         assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"], rel=1e-12)
         assert fig["augmented_time"] < fig["baseline_time"]
 
     def test_no_headroom_never_convenient(self):
-        config = PipelineConfig(0.38, 100, 1.0, 300.0, 0.38, 0.95, 10.0)
-        verdict, binding = evaluate(config, min_extra_ratio(0.95))
-        assert verdict == VERDICT_NOT_CONVENIENT
+        got, binding = verdict(0.38, 100, 1.0, 300.0, 0.38, 0.95, 10.0, min_extra_ratio(0.95))
+        assert got == VERDICT_NOT_CONVENIENT
         assert "time" in binding
 
     def test_boundary_verdict_at_exact_tie(self):
         dn = min_extra_ratio(VDP_R_M)
         budget = max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, dn)
-        config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, budget.tight)
-        assert evaluate(config, dn) == (VERDICT_BOUNDARY, "throughput+time")
+        assert verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, budget.tight, dn) == (
+            VERDICT_BOUNDARY, "throughput+time")
 
     def test_screener_passing_no_good_patch_rejected(self):
-        with pytest.raises(MetricsError, match=r"r_m must be in \(0, 1\], got 0.0"):
-            PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, 0.0, 10.0)
-        # its prevalence-consistent precision is 0 too, and P_M is named first
-        with pytest.raises(MetricsError, match="precision must be > 0, got 0.0"):
-            PipelineConfig(0.38, 100, 1.0, 300.0, 0.0, 0.0, 10.0)
-        # each of the other numbers outside its range
-        good = dict(pi=0.38, n=100, r_v=1.0, tau_v=300.0, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=10.0)
-        for field, value, message in [
-            ("p_m", 1.5, r"precision must be in \[0, 1\], got 1.5"),
-            ("p_m", -0.1, r"precision must be in \[0, 1\], got -0.1"),
-            ("r_v", 0.0, "validator recall must be > 0"),
-            ("r_v", 1.5, r"r_v must be in \[0, 1\], got 1.5"),
-            ("tau_v", 0.0, "validator latency must be present and > 0"),
-            ("tau_v", -1.0, "validator latency must be present and > 0"),
-            ("r_m", 1.5, r"r_m must be in \(0, 1\], got 1.5"),
-            ("pi", 1.0, "pi must be < 1, got 1.0"),
-            ("n", 0, "n must be > 0, got 0"),
+        # the bounds range-check the screener and pi themselves
+        for r_m, pi, message in [
+            (0.0, 0.38, r"r_m must be in \(0, 1\], got 0.0"),
+            (1.5, 0.38, r"r_m must be in \(0, 1\], got 1.5"),
+            (VDP_R_M, 1.0, "pi must be < 1, got 1.0"),
         ]:
             with pytest.raises(MetricsError, match=message):
-                PipelineConfig(**dict(good, **{field: value}))
+                max_model_time(300.0, r_m, VDP_P_M, pi)
+            with pytest.raises(MetricsError, match=message):
+                min_validator_time(10.0, r_m, VDP_P_M, pi)
+        # evaluate leaves them to its caller: `simulate` rejects the P_M = 0 of
+        # such a screener before it forms q (test_cli's
+        # test_rejected_before_sampling).  evaluate checks the validator
+        good = dict(pi=0.38, n=100, r_v=1.0, tau_v=300.0, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=10.0,
+                    dn_ratio=0.06)
+        for field, value, message in [
+            ("r_v", 0.0, "validator recall must be > 0"),
+            ("tau_v", 0.0, "validator latency must be present and > 0"),
+            ("tau_v", -1.0, "validator latency must be present and > 0"),
+        ]:
+            with pytest.raises(MetricsError, match=message):
+                verdict(**dict(good, **{field: value}))
 
     def test_negative_extra_ratio_rejected(self):
-        config = PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 10.0)
         with pytest.raises(MetricsError, match="dn_ratio must be >= 0, got -0.1"):
-            evaluate(config, -0.1)
+            verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 10.0, -0.1)
         with pytest.raises(MetricsError, match="dn_ratio must be >= 0, got -0.1"):
             max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, -0.1)
 
@@ -196,16 +199,10 @@ class TestEvaluate:
         with pytest.raises(MetricsError, match=r"p_m must be in \(0, 1\], got 1.5"):
             min_validator_time(10.0, VDP_R_M, 1.5, 0.38)
 
-    def test_missing_screener_latency(self):
-        for tau_m in (None, -1.0):
-            with pytest.raises(MetricsError, match="latency"):
-                PipelineConfig(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, tau_m)
-
     def test_overflowed_figures_rejected(self):
         # both times overflow to inf and would tie as a boundary
-        config = PipelineConfig(0.38, 100, 1.0, 1e308, VDP_P_M, VDP_R_M, 1e308)
         with pytest.raises(MetricsError, match="not a finite number"):
-            evaluate(config, 0.06)
+            verdict(0.38, 100, 1.0, 1e308, VDP_P_M, VDP_R_M, 1e308, 0.06)
 
     def test_boundary_identity_random_configs(self):
         # at dn = 1/R_M - 1 and tau_M at the tight budget both requirements
@@ -225,5 +222,4 @@ class TestEvaluate:
             fig = figures(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn)
             assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"], rel=1e-9)
             assert fig["augmented_time"] == pytest.approx(fig["baseline_time"], rel=1e-9)
-            config = PipelineConfig(pi, n, r_v, tau_v, p_m, r_m, tau_m)
-            assert evaluate(config, dn)[0] == VERDICT_BOUNDARY
+            assert verdict(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn)[0] == VERDICT_BOUNDARY

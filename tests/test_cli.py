@@ -603,6 +603,11 @@ class TestCliPlumbing:
             (("bounds", "--model", "VulDeePecker", "--pi", "0.38", "--delta-ratio", "-1"),
              "dn_ratio must be >= 0, got -1.0"),
             (("limits", "--catalog", str(empty), "--pi", "5"), "pi must be in [0, 1], got 5.0"),
+            # bounds names a pi out of range as invert and limits do, not as missing headroom
+            (("bounds", "--model", "VulDeePecker", "--pi", "1.5", "--tau-v", "30"),
+             "pi must be in [0, 1], got 1.5"),
+            (("bounds", "--model", "VulDeePecker", "--pi", "1.0", "--tau-v", "30"),
+             "pi must be < 1, got 1.0"),
         ):
             assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
 

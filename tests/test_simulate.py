@@ -25,6 +25,7 @@ from pipegate.simulate import (
     run_augmented,
     run_baseline,
 )
+from reference import philox_doubles, sampled_trial
 
 VDP_TPR, VDP_FPR = 0.95, 0.16
 
@@ -231,6 +232,36 @@ class TestChunkedKernel:
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
         assert compare(cfg, workers=4) == want
+
+
+class TestSamplerSpec:
+    """The sampler against a pure-Python Philox4x64-10, not against numpy's own."""
+
+    @pytest.mark.parametrize("seed,trial,stream", [(0, 0, 0), (2**64 - 1, 123456, 1)])
+    @pytest.mark.parametrize("offset", [*range(8), 2**40 + 3])
+    def test_draw_matches_spec(self, seed, trial, stream, offset):
+        out = np.empty(9)  # past the end of the next block of four
+        simulate._Worker()._draw(make_config(seed=seed), trial, stream, offset, out)
+        assert out.tolist() == philox_doubles((seed, 2 * trial + stream), offset, 9)
+
+    @pytest.mark.parametrize("n,delta_n,r_v,trials,chunked", [
+        (200, 40, 0.9, 3, False),
+        (200, 40, 1.0, 3, False),
+        # 2 * 1,100 baseline draws and 8,193 augmented items at 3 kinds, which
+        # end on a 1-item chunk
+        (1100, 7093, 0.9, 2, True),
+    ], ids=["block", "block-full-recall", "chunked"])
+    def test_counts_match_spec(self, n, delta_n, r_v, trials, chunked):
+        cfg = make_config(n=n, delta_n=delta_n, r_v=r_v, trials=trials, tpr_m=0.3, fpr_m=0.6)
+        for run, stream in ((run_baseline, simulate._BASELINE_STREAM),
+                            (run_augmented, simulate._AUGMENTED_STREAM)):
+            augmented = stream == simulate._AUGMENTED_STREAM
+            m = cfg.n_total if augmented else cfg.n
+            assert (simulate._kinds(cfg, stream) * m > INLINE) == chunked
+            got = run(cfg)
+            rows = zip(got["tp"], got["survivors"], got["good_survivors"])
+            assert [tuple(map(int, row)) for row in rows] == [
+                sampled_trial(cfg, t, augmented) for t in range(trials)]
 
 
 class TestBaseline:
