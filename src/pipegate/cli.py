@@ -274,6 +274,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         out.results["min_validator_time_seconds"] = _tagged(floor, "derived")
     if tau_v is not None:
         budget = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi, args.delta_ratio)
+        if tau_v == 0:  # no budget, whether or not the row's latency asks for a verdict
+            raise met.MetricsError("validator latency must be present and > 0")
         out.results["max_model_time_relaxed_seconds"] = _tagged(budget.relaxed, "derived")
         if budget.tight is not None:
             out.results["max_model_time_tight_seconds"] = _tagged(budget.tight, "derived")

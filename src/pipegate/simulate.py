@@ -19,19 +19,17 @@ stream, so every good item that reaches the validator counts without them
 and no other draw moves.
 
 Memory per worker thread is fixed, whatever n is: one 192 KiB buffer of
-3 x 8192 doubles and three 24 KiB masks.  A trial makes one pass over its
-items, a chunk at a time, with one generator re-pointed per chunk at the
-offset where each kind of variate starts (labels at 0, screener at m,
-validator after both).  Philox is counter-based, so any offset is reached
-directly, and each kind's chunks hold exactly the variates that one
-``random(m)`` call from that offset would return: the draw layout above is
-unchanged.  A chunk holds the buffer's worth of draws, so a trial with fewer
-kinds of variate takes wider chunks.  A trial whose draws fit 2048 doubles
-takes them in one call from the start of its stream instead.  Such small
-trials run in the calling thread, as many to a block of 8192 doubles as fit,
-and the same counting code as for a chunk takes one pass over each block.
-Threads serve only larger trials, dispatched as contiguous blocks, one per
-worker thread.
+3 x 8192 doubles and three 24 KiB masks.  One loop counts every trial, a
+block of trials and a chunk of items at a time, with one generator
+re-pointed at the offset where each kind of variate starts (labels at 0,
+screener at m, validator after both).  Philox is counter-based, so any
+offset is reached directly, and each kind's chunks hold exactly the
+variates that one ``random(m)`` call from that offset would return: the
+draw layout above is unchanged.  A chunk that holds its whole trial takes
+all of the trial's draws in one call.  Trials whose draws fit 2048 doubles
+share blocks of 8192 doubles in the calling thread; a larger trial is a
+block alone, in chunks of the buffer's worth of draws, and only such trials
+use worker threads, as contiguous runs of trials, one per thread.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -85,12 +83,12 @@ _AUGMENTED_STREAM = 1
 # sums are paid over more items.
 _CHUNK = 1 << 13
 
-# Trials of at most this many draws, four or more to _CHUNK doubles, take
-# one draw call each and run in the calling thread: their re-keys and short
-# numpy calls hold the GIL, and on a 2-vCPU VM a second thread did not make
-# them faster.  From about 2,700 items per trial it made the chunked kernel
-# up to 1.2-1.5x as fast, and a trial alone in a chunk of 8192 doubles drew
-# about 10% slower there.
+# Trials of at most this many draws share blocks, four or more to _CHUNK
+# doubles, and run in the calling thread: their re-keys and short numpy calls
+# hold the GIL, and on a 2-vCPU VM a second thread did not make them faster.
+# From about 2,700 items per trial a second thread made trials up to
+# 1.2-1.5x as fast, and a trial alone in a block of 8192 doubles drew about
+# 10% slower there.
 _INLINE_DRAWS = _CHUNK // 4
 
 
@@ -255,42 +253,33 @@ class _Worker:
         survivors = passed.sum(axis=1, dtype=np.uint16) + good_survivors if augmented else items
         return tp, survivors, good_survivors
 
-    def trial(self, cfg: SimConfig, trial: int, stream: int) -> np.ndarray:
-        """One trial's (true positives, survivors, good survivors).
+    def run(self, cfg: SimConfig, trials: range, stream: int, counts: np.ndarray) -> None:
+        """Write each trial's (true positives, survivors, good survivors) into ``counts[:, t]``.
 
-        Each chunk of items takes each kind of variate from where that kind
-        starts in the stream, every kind m draws after the one before, so it
-        reads what one ``random(m)`` call from there would return.  A chunk
-        holds the buffer's worth of draws: fewer kinds take wider chunks.
+        Trials go a block of ``rows`` at a time, each block a chunk of
+        ``width`` items at a time, one :meth:`_count` per chunk.  A chunk that
+        covers its whole trial takes one draw call from the start of the
+        stream.  Otherwise each kind of variate is drawn from where that kind
+        starts, every kind m draws after the one before, so the chunk reads
+        what one ``random(m)`` call from there would return.
         """
         augmented = stream == _AUGMENTED_STREAM
-        m = cfg.n_total if augmented else cfg.n
-        kinds = _kinds(cfg, stream)
-        width = 3 * _CHUNK // kinds
-        counts = np.zeros((3, 1), dtype=np.int64)
-        for lo in range(0, m, width):
-            size = min(width, m - lo)
-            u = self._u[: kinds * size].reshape(1, kinds, size)
-            for kind in range(kinds):
-                self._draw(cfg, trial, stream, kind * m + lo, u[0, kind])
-            for total, chunk in zip(counts, self._count(cfg, u, augmented)):
-                total += chunk
-        return counts[:, 0]
-
-    def block(self, cfg: SimConfig, trials: range, stream: int) -> tuple:
-        """Per-trial (true positives, survivors, good survivors) of small trials.
-
-        Each trial takes all its draws in one call from the start of its
-        stream, into one row of a (trials, kinds, m) view of the buffer; one
-        :meth:`_count` then covers the whole block.
-        """
-        augmented = stream == _AUGMENTED_STREAM
-        m = cfg.n_total if augmented else cfg.n
-        kinds = _kinds(cfg, stream)
-        u = self._u[: len(trials) * kinds * m].reshape(len(trials), kinds, m)
-        for t, row in zip(trials, u):
-            self._draw(cfg, t, stream, 0, row)
-        return self._count(cfg, u, augmented)
+        m, kinds, rows, width = _geometry(cfg, stream)
+        for first in range(trials.start, trials.stop, rows):
+            block = range(first, min(first + rows, trials.stop))
+            sums = np.zeros((3, len(block)), dtype=np.int64)
+            for lo in range(0, m, width):
+                size = min(width, m - lo)
+                u = self._u[: len(block) * kinds * size].reshape(len(block), kinds, size)
+                for t, row in zip(block, u):
+                    if size == m:
+                        self._draw(cfg, t, stream, 0, row)
+                    else:
+                        for kind in range(kinds):
+                            self._draw(cfg, t, stream, kind * m + lo, row[kind])
+                for total, chunk in zip(sums, self._count(cfg, u, augmented)):
+                    total += chunk
+            counts[:, first:block.stop] = sums
 
 
 def _usable_cpus() -> int:
@@ -300,56 +289,49 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kinds(cfg: SimConfig, stream: int) -> int:
-    """Variate kinds per item: labels, the screener's if augmented, the validator's if R_V < 1."""
-    return 1 + (stream == _AUGMENTED_STREAM) + (cfg.r_v < 1.0)
+def _geometry(cfg: SimConfig, stream: int) -> tuple[int, int, int, int]:
+    """A trial's (items, kinds of variate, trials per block, items per chunk).
+
+    The kinds are labels, the screener's if augmented and the validator's if
+    R_V < 1.  A trial of at most ``_INLINE_DRAWS`` draws is one chunk, as many
+    to a block as ``_CHUNK`` doubles hold.  A larger trial is a block alone,
+    in chunks of the buffer's worth of draws: fewer kinds take wider chunks.
+    """
+    augmented = stream == _AUGMENTED_STREAM
+    m = cfg.n_total if augmented else cfg.n
+    kinds = 1 + augmented + (cfg.r_v < 1.0)
+    if kinds * m <= _INLINE_DRAWS:
+        return m, kinds, _CHUNK // (kinds * m), m
+    return m, kinds, 1, 3 * _CHUNK // kinds
 
 
 def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarray]:
     """Run every trial of one pipeline's stream; one row per statistic.
 
-    Trials of at most ``_INLINE_DRAWS`` draws run in this thread, as many
-    per block as ``_CHUNK`` doubles hold.  Larger trials are split into at most
-    ``workers`` contiguous blocks, one thread each, capped at the trial count
-    and at the CPUs this process may use.  Results land at their trial index, so
-    the output is identical for any worker count or completion order.  Time
-    is charged afterwards, tau_M per item screened and tau_V per item
-    reaching the validator.
+    Trials that share blocks run in this thread.  Larger trials are split
+    into at most ``workers`` contiguous runs, one thread each, capped at the
+    trial count and at the CPUs this process may use.  Results land at their
+    trial index, so the output is identical for any worker count or
+    completion order.  Time is charged afterwards, tau_M per item screened and
+    tau_V per item reaching the validator.
     """
     trials = cfg.trials
     try:
         counts = np.empty((3, trials), dtype=np.float64)
     except MemoryError:
         raise MetricsError(f"trials={trials}: per-trial results do not fit in memory") from None
-    augmented = stream == _AUGMENTED_STREAM
-    m = cfg.n_total if augmented else cfg.n
-    tp, survivors, good_survivors = counts
-    draws = _kinds(cfg, stream) * m
-    if draws <= _INLINE_DRAWS:
-        worker = _Worker()
-        step = _CHUNK // draws
-        for lo in range(0, trials, step):
-            hi = min(lo + step, trials)
-            tp[lo:hi], survivors[lo:hi], good_survivors[lo:hi] = worker.block(
-                cfg, range(lo, hi), stream)
+    m, _, rows, _ = _geometry(cfg, stream)
+    threads = 1 if rows > 1 else max(1, min(workers, trials, _usable_cpus()))
+    runs = [range(trials * i // threads, trials * (i + 1) // threads) for i in range(threads)]
+    if threads == 1:
+        _Worker().run(cfg, runs[0], stream, counts)
     else:
-        threads = max(1, min(workers, trials, _usable_cpus()))
-        blocks = [range(trials * i // threads, trials * (i + 1) // threads)
-                  for i in range(threads)]
+        from concurrent.futures import ThreadPoolExecutor
 
-        def work(block: range) -> None:
-            worker = _Worker()
-            for t in block:
-                counts[:, t] = worker.trial(cfg, t, stream)
-
-        if threads == 1:
-            work(blocks[0])
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, blocks))
-    time = (cfg.tau_m if augmented else 0.0) * m + cfg.tau_v * survivors
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda run: _Worker().run(cfg, run, stream, counts), runs))
+    tp, survivors, good_survivors = counts
+    time = (cfg.tau_m if stream == _AUGMENTED_STREAM else 0.0) * m + cfg.tau_v * survivors
     return {"tp": tp, "time": time, "survivors": survivors, "good_survivors": good_survivors}
 
 

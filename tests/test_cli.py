@@ -154,9 +154,11 @@ class TestBounds:
         assert got == (3, "", "error: one of --tau-m / --tau-v is required\n")
 
     def test_zero_validator_latency_exit_3(self, capsys):
-        # tau_M is the row's 156 s, so the verdict needs tau_V, and a zero one has no budget
-        got = run_cli(capsys, "bounds", "--model", "VulDeePecker", "--pi", "0.38", "--tau-v", "0")
-        assert got == (3, "", "error: validator latency must be present and > 0\n")
+        # a zero tau_V has no budget, whether the row's latency (VulDeePecker's
+        # 156 s) asks for a verdict or the row has none (LineVul)
+        for model in ("VulDeePecker", "LineVul"):
+            got = run_cli(capsys, "bounds", "--model", model, "--pi", "0.38", "--tau-v", "0")
+            assert got == (3, "", "error: validator latency must be present and > 0\n"), model
 
     def test_lower_bound_latency_warns_optimistic(self, capsys):
         code, doc, _ = run_json(capsys, "bounds", "--model", "LineVD", "--pi", "0.38")

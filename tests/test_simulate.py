@@ -96,13 +96,39 @@ CHUNK = simulate._CHUNK
 INLINE = simulate._INLINE_DRAWS
 
 
+@pytest.fixture
+def recorded_draws(monkeypatch):
+    """Per stream key, how far into the stream each worker drew, and its ``random`` calls."""
+    ends, calls = {}, {}
+    init = simulate._Worker.__init__
+
+    class Recording:
+        def __init__(self, rng):
+            self.bit_generator, self._rng = rng.bit_generator, rng
+
+        def random(self, out):
+            self._rng.random(out=out)
+            state = self.bit_generator.state
+            # Philox hands out four doubles per counter step
+            end = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+            stream = int(state["state"]["key"][1])
+            ends[stream] = max(ends.get(stream, 0), end)
+            calls[stream] = calls.get(stream, 0) + 1
+
+    def recording_init(worker):
+        init(worker)
+        worker._rng = Recording(worker._rng)
+
+    monkeypatch.setattr(simulate._Worker, "__init__", recording_init)
+    return ends, calls
+
+
 class TestChunkedKernel:
     @pytest.mark.parametrize("items", [
         1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
         # a trial draws kinds x items variates, kinds = 1 (baseline at R_V = 1)
         # to 3 (augmented at R_V < 1): the largest trial of each kinds that
-        # takes one draw call in the calling thread, and the smallest that
-        # takes the chunked kernel
+        # shares a block in the calling thread, and the smallest that does not
         INLINE, INLINE + 1, INLINE // 2, INLINE // 2 + 1, INLINE // 3, INLINE // 3 + 1,
         # 17 trials are not a multiple of the trials per block (13, 6 or 4) here
         600,
@@ -151,30 +177,11 @@ class TestChunkedKernel:
             row = (want["tp"][last], want["survivors"][last], want["good_survivors"][last])
             assert row == single_shot_trial(cfg, last, stream)
 
-    def test_validator_pass_skipped_only_at_full_recall(self, monkeypatch):
+    def test_validator_pass_skipped_only_at_full_recall(self, recorded_draws):
         # how far into its stream each trial draws: at R_V = 1 the draws stop
         # after the screener variates (after the labels, for the baseline)
-        ends = {}
-        init = simulate._Worker.__init__
-
-        class Recording:
-            def __init__(self, rng):
-                self.bit_generator, self._rng = rng.bit_generator, rng
-
-            def random(self, out):
-                self._rng.random(out=out)
-                state = self.bit_generator.state
-                # Philox hands out four doubles per counter step
-                end = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
-                stream = int(state["state"]["key"][1])
-                ends[stream] = max(ends.get(stream, 0), end)
-
-        def recording_init(worker):
-            init(worker)
-            worker._rng = Recording(worker._rng)
-
-        monkeypatch.setattr(simulate._Worker, "__init__", recording_init)
-        # small trials take one draw each, and trials above a chunk the chunked kernel
+        ends, _ = recorded_draws
+        # small trials take one draw each, and trials above a chunk a chunk at a time
         for items, (r_v, validated) in itertools.product(
                 (100, CHUNK + 1), ((1.0, 0), (0.9, 1))):
             ends.clear()
@@ -185,6 +192,15 @@ class TestChunkedKernel:
                 want[t << 1 | simulate._BASELINE_STREAM] = (1 + validated) * cfg.n
                 want[t << 1 | simulate._AUGMENTED_STREAM] = (2 + validated) * cfg.n_total
             assert ends == want, (items, r_v)
+
+    def test_trial_in_one_chunk_takes_one_draw_call(self, recorded_draws):
+        # 3,300 draws: above the trials that share a block, inside one chunk
+        ends, calls = recorded_draws
+        cfg = make_config(n=1100, delta_n=0, trials=3, r_v=0.9)
+        run_augmented(cfg, workers=2)
+        streams = [t << 1 | simulate._AUGMENTED_STREAM for t in range(cfg.trials)]
+        assert calls == dict.fromkeys(streams, 1)
+        assert ends == dict.fromkeys(streams, 3 * cfg.n)
 
     @pytest.mark.parametrize("n", [2**10, 2**20])
     def test_memory_does_not_grow_with_n(self, n):
@@ -209,7 +225,7 @@ class TestChunkedKernel:
 
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-        big = dict(n=CHUNK + 1, delta_n=0)  # trials that take the chunked kernel
+        big = dict(n=CHUNK + 1, delta_n=0)  # trials too large to share a block
         run_augmented(make_config(trials=5, **big), workers=64)  # capped by CPUs
         run_augmented(make_config(trials=2, **big), workers=64)  # capped by trials
         run_augmented(make_config(trials=5, **big), workers=2)
@@ -244,24 +260,27 @@ class TestSamplerSpec:
         simulate._Worker()._draw(make_config(seed=seed), trial, stream, offset, out)
         assert out.tolist() == philox_doubles((seed, 2 * trial + stream), offset, 9)
 
-    @pytest.mark.parametrize("n,delta_n,r_v,trials,chunked", [
-        (200, 40, 0.9, 3, False),
-        (200, 40, 1.0, 3, False),
-        # 2 * 1,100 baseline draws and 8,193 augmented items at 3 kinds, which
-        # end on a 1-item chunk
-        (1100, 7093, 0.9, 2, True),
-    ], ids=["block", "block-full-recall", "chunked"])
-    def test_counts_match_spec(self, n, delta_n, r_v, trials, chunked):
+    @pytest.mark.parametrize("n,delta_n,r_v,trials,layouts", [
+        (200, 40, 0.9, 3, ("block", "block")),
+        (200, 40, 1.0, 3, ("block", "block")),
+        # 2 * 1,100 baseline draws in one chunk, and 8,193 augmented items at
+        # 3 kinds, which end on a 1-item chunk
+        (1100, 7093, 0.9, 2, ("chunk", "chunks")),
+        # 2,200 and 3,300 draws: too many to share a block, one chunk each
+        (1100, 0, 0.9, 2, ("chunk", "chunk")),
+    ], ids=["block", "block-full-recall", "chunked", "one-chunk"])
+    def test_counts_match_spec(self, n, delta_n, r_v, trials, layouts):
         cfg = make_config(n=n, delta_n=delta_n, r_v=r_v, trials=trials, tpr_m=0.3, fpr_m=0.6)
-        for run, stream in ((run_baseline, simulate._BASELINE_STREAM),
-                            (run_augmented, simulate._AUGMENTED_STREAM)):
-            augmented = stream == simulate._AUGMENTED_STREAM
-            m = cfg.n_total if augmented else cfg.n
-            assert (simulate._kinds(cfg, stream) * m > INLINE) == chunked
+        for run, stream, layout in zip((run_baseline, run_augmented),
+                                       (simulate._BASELINE_STREAM, simulate._AUGMENTED_STREAM),
+                                       layouts):
+            m, _, per_block, width = simulate._geometry(cfg, stream)
+            assert ("block" if per_block > 1 else "chunk" if width >= m else "chunks") == layout
             got = run(cfg)
             rows = zip(got["tp"], got["survivors"], got["good_survivors"])
             assert [tuple(map(int, row)) for row in rows] == [
-                sampled_trial(cfg, t, augmented) for t in range(trials)]
+                sampled_trial(cfg, t, stream == simulate._AUGMENTED_STREAM)
+                for t in range(trials)]
 
 
 class TestBaseline:
