@@ -25,12 +25,10 @@ All counts are expectations (real-valued); rounding is presentation-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from pipegate.metrics import MetricsError, _check_unit
 
 __all__ = [
-    "ModelTimeBudget",
     "VERDICT_CONVENIENT",
     "VERDICT_NOT_CONVENIENT",
     "VERDICT_BOUNDARY",
@@ -47,14 +45,6 @@ VERDICT_BOUNDARY = "boundary"
 
 # Relative tolerance for calling the two convenience inequalities ties.
 _REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ModelTimeBudget:
-    """Maximum screener latency; relaxed <= 0 when P_M <= pi (no headroom)."""
-
-    relaxed: float
-    tight: float | None
 
 
 def _check_screener(r_m: float, p_m: float, pi: float) -> None:
@@ -79,12 +69,13 @@ def max_model_time(
     p_m: float,
     pi: float,
     dn_ratio: float | None = None,
-) -> ModelTimeBudget:
-    """Maximum screener latency for the time requirement to hold.
+) -> tuple[float, float | None]:
+    """Maximum screener latency for the time requirement to hold: ``(relaxed, tight)``.
 
     relaxed = tau_V * (R_M/P_M) * (P_M - pi); with a chosen dn_ratio the
-    tight form tau_V * (1/(1+dn_ratio) - (R_M/P_M)*pi) applies instead.
-    No headroom (not an error) when P_M <= pi: relaxed is then <= 0.
+    tight form tau_V * (1/(1+dn_ratio) - (R_M/P_M)*pi) applies instead, and
+    tight is None without one.  No headroom (not an error) when P_M <= pi:
+    relaxed is then <= 0.
     """
     if tau_v < 0:
         raise MetricsError(f"tau_v must be >= 0, got {tau_v}")
@@ -95,7 +86,7 @@ def max_model_time(
     tight = None
     if dn_ratio is not None:
         tight = tau_v * (1.0 / (1.0 + dn_ratio) - (r_m / p_m) * pi)
-    return ModelTimeBudget(relaxed=relaxed, tight=tight)
+    return relaxed, tight
 
 
 def min_validator_time(tau_m: float, r_m: float, p_m: float, pi: float) -> float | None:

@@ -21,14 +21,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 
 from pipegate import bounds as bnd
 from pipegate import catalog as cat
 from pipegate import metrics as met
 from pipegate import simulate as sim
 
-__all__ = ["main", "OutputRecord"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_REGRESSION = 1
@@ -50,15 +49,9 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class OutputRecord:
-    """Machine-readable result of one command invocation."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    table: dict | None = None
-    warnings: list = field(default_factory=list)
+def _record(command: str, **parts) -> dict:
+    """One command's result, shaped as ``docs/output_schema.json`` describes."""
+    return {"command": command, "inputs": {}, "results": {}, "table": None, "warnings": [], **parts}
 
 
 def _tagged(value, provenance: str) -> dict:
@@ -100,38 +93,38 @@ def _flatten(d: dict, prefix: str = "") -> list[tuple[str, object]]:
     return rows
 
 
-def render_csv(record: OutputRecord) -> str:
+def render_csv(record: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if record.table is not None:
-        writer.writerow(record.table["columns"])
-        for row in record.table["rows"]:
+    if record["table"] is not None:
+        writer.writerow(record["table"]["columns"])
+        for row in record["table"]["rows"]:
             writer.writerow(row)
     else:
         writer.writerow(["key", "value"])
-        for key, value in _flatten(record.results):
+        for key, value in _flatten(record["results"]):
             writer.writerow([key, value])
     return buf.getvalue()
 
 
-def render_table(record: OutputRecord) -> str:
-    lines = [f"command: {record.command}"]
-    if record.inputs:
+def render_table(record: dict) -> str:
+    lines = [f"command: {record['command']}"]
+    if record["inputs"]:
         lines.append("inputs:")
-        for key, value in _flatten(record.inputs):
+        for key, value in _flatten(record["inputs"]):
             lines.append(f"  {key} = {value}")
-    if record.results:
+    if record["results"]:
         lines.append("results:")
-        for key, value in record.results.items():
+        for key, value in record["results"].items():
             if isinstance(value, dict) and "value" not in value:
                 lines.append(f"  {key}:")
                 for k2, v2 in value.items():
                     lines.append(f"    {k2} = {_fmt_result(k2, v2)}")
             else:
                 lines.append(f"  {key} = {_fmt_result(key, value)}")
-    if record.table is not None:
-        cols = record.table["columns"]
-        str_rows = [[_fmt(c) for c in row] for row in record.table["rows"]]
+    if record["table"] is not None:
+        cols = record["table"]["columns"]
+        str_rows = [[_fmt(c) for c in row] for row in record["table"]["rows"]]
         widths = [
             max(len(str(cols[i])), *(len(r[i]) for r in str_rows)) if str_rows else len(str(cols[i]))
             for i in range(len(cols))
@@ -141,14 +134,14 @@ def render_table(record: OutputRecord) -> str:
         lines.append("-" * len(header))
         for row in str_rows:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    for msg in record.warnings:
+    for msg in record["warnings"]:
         lines.append(f"warning: {msg}")
     return "\n".join(lines) + "\n"
 
 
-def render(record: OutputRecord, fmt: str) -> str:
+def render(record: dict, fmt: str) -> str:
     try:  # serialized for every format, so that no format prints a NaN or inf
-        body = json.dumps(asdict(record), sort_keys=True, allow_nan=False)
+        body = json.dumps(record, sort_keys=True, allow_nan=False)
     except ValueError:  # finite inputs can still overflow a result to inf
         raise CliError(EXIT_INVALID, "a result is not a finite number; inputs too large") from None
     if fmt == "json":
@@ -226,9 +219,10 @@ def _detector_inputs(record: cat.ModelRecord) -> dict:
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_invert(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_invert(args: argparse.Namespace) -> tuple[dict, int]:
     record = _resolve_model(args)
     scr = met.invert_detector(record.spec)
+    inputs = _detector_inputs(record)
     results = {
         "screener_precision": _tagged(scr.precision, "derived"),
         "screener_recall": _tagged(scr.recall, "derived"),
@@ -238,14 +232,12 @@ def cmd_invert(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         results["screener_precision_at_pi"] = _tagged(
             met.precision_at_prevalence(scr.recall, scr.fpr, args.pi), "derived"
         )
-    out = OutputRecord(command="invert", inputs=_detector_inputs(record), results=results,
-                       warnings=_consistency_warnings([record]))
-    if args.pi is not None:
-        out.inputs["pi"] = args.pi
-    return out, EXIT_OK
+        inputs["pi"] = args.pi
+    return _record("invert", inputs=inputs, results=results,
+                   warnings=_consistency_warnings([record])), EXIT_OK
 
 
-def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     record = _resolve_model(args)
     scr = met.invert_detector(record.spec)
     pi = args.pi
@@ -254,14 +246,14 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if tau_m is None and tau_v is None:
         raise CliError(EXIT_INVALID, "one of --tau-m / --tau-v is required")
 
-    out = OutputRecord(command="bounds", inputs=_detector_inputs(record))
-    out.inputs.update({"pi": pi, "tau_m_seconds": tau_m, "tau_v_seconds": tau_v,
-                       "delta_ratio": args.delta_ratio})
-    out.results["screener_precision"] = _tagged(scr.precision, "derived")
-    out.results["screener_recall"] = _tagged(scr.recall, "derived")
+    out = _record("bounds", inputs=_detector_inputs(record))
+    out["inputs"].update({"pi": pi, "tau_m_seconds": tau_m, "tau_v_seconds": tau_v,
+                          "delta_ratio": args.delta_ratio})
+    out["results"]["screener_precision"] = _tagged(scr.precision, "derived")
+    out["results"]["screener_recall"] = _tagged(scr.recall, "derived")
     min_ratio = bnd.min_extra_ratio(scr.recall)
-    out.results["min_extra_ratio"] = _tagged(min_ratio, "derived")
-    out.warnings = _model_warnings(record, args)
+    out["results"]["min_extra_ratio"] = _tagged(min_ratio, "derived")
+    out["warnings"] = _model_warnings(record, args)
 
     met._check_unit("pi", pi, lo_open=True, hi_open=True)  # pi >= 1 is out of range, not headroom
     if scr.precision <= pi:
@@ -271,23 +263,23 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         )
     if tau_m is not None:
         floor = bnd.min_validator_time(tau_m, scr.recall, scr.precision, pi)
-        out.results["min_validator_time_seconds"] = _tagged(floor, "derived")
+        out["results"]["min_validator_time_seconds"] = _tagged(floor, "derived")
     if tau_v is not None:
-        budget = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi, args.delta_ratio)
+        relaxed, tight = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi, args.delta_ratio)
         if tau_v == 0:  # no budget, whether or not the row's latency asks for a verdict
             raise met.MetricsError("validator latency must be present and > 0")
-        out.results["max_model_time_relaxed_seconds"] = _tagged(budget.relaxed, "derived")
-        if budget.tight is not None:
-            out.results["max_model_time_tight_seconds"] = _tagged(budget.tight, "derived")
+        out["results"]["max_model_time_relaxed_seconds"] = _tagged(relaxed, "derived")
+        if tight is not None:
+            out["results"]["max_model_time_tight_seconds"] = _tagged(tight, "derived")
     elif args.delta_ratio is not None and args.delta_ratio < 0:  # echoed, though nothing reads it
         raise met.MetricsError(f"dn_ratio must be >= 0, got {args.delta_ratio}")
     if tau_m is not None and tau_v is not None:
         dn = args.delta_ratio if args.delta_ratio is not None else min_ratio
         q = (scr.recall / scr.precision) * pi
         verdict, binding = bnd.evaluate(pi, 100.0, 1.0, scr.recall, q, tau_m, tau_v, dn)
-        out.results["verdict"] = verdict
+        out["results"]["verdict"] = verdict
         if binding:
-            out.results["binding_constraint"] = binding
+            out["results"]["binding_constraint"] = binding
     return out, EXIT_OK
 
 
@@ -295,11 +287,11 @@ def _time_limits(catalog: cat.Catalog, benchmark: cat.BenchmarkTimes, pi: float)
     """Yield (model record, {benchmark column: relaxed screener-time budget})."""
     for record in catalog.models:
         scr = met.invert_detector(record.spec)
-        yield record, {stat: bnd.max_model_time(tau_v, scr.recall, scr.precision, pi).relaxed
+        yield record, {stat: bnd.max_model_time(tau_v, scr.recall, scr.precision, pi)[0]
                        for stat, tau_v in benchmark.as_columns().items()}
 
 
-def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_limits(args: argparse.Namespace) -> tuple[dict, int]:
     catalog = _resolve_catalog(args.catalog)
     source = args.benchmark or "builtin"  # empty counts as not given, as --catalog ""
     if source == "builtin":
@@ -316,19 +308,18 @@ def cmd_limits(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     rows = [[record.name, *(max(0.0, b) for b in budgets.values())]
             for record, budgets in _time_limits(catalog, benchmark, pi)]
     met._check_unit("pi", pi, lo_open=True, hi_open=True)  # also when no model computed a row
-    out = OutputRecord(
-        command="limits",
+    return _record(
+        "limits",
         inputs={
             "pi": pi,
             "benchmark": {"source": source, **benchmark.as_columns()},
         },
         table={"columns": columns, "rows": rows},
         warnings=_consistency_warnings(catalog.models),
-    )
-    return out, EXIT_OK
+    ), EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     """Check the whole scenario, then sample it and compare with the model.
 
     Nothing samples before every check has run.  The analytic verdict uses
@@ -336,15 +327,15 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     the ``--model`` row's, and the precision at the generator's pi otherwise;
     ``inputs`` echoes that mode.
     """
-    out = OutputRecord(command="simulate")
+    out = _record("simulate")
     if args.model is not None:
         record = _resolve_model(args)
-        out.warnings = _model_warnings(record, args)
+        out["warnings"] = _model_warnings(record, args)
         scr = met.invert_detector(record.spec)
         tpr_m = scr.recall if args.tpr_m is None else args.tpr_m
         fpr_m = scr.fpr if args.fpr_m is None else args.fpr_m
         tau_m = args.tau_m if args.tau_m is not None else scr.latency
-        out.inputs.update(_detector_inputs(record))
+        out["inputs"].update(_detector_inputs(record))
     else:
         if args.tpr_m is None or args.fpr_m is None:
             raise CliError(EXIT_INVALID, "either --model or both --tpr-m/--fpr-m are required")
@@ -385,7 +376,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     q = (cfg.tpr_m / p_m) * cfg.pi
     analytic_verdict, _ = bnd.evaluate(cfg.pi, float(cfg.n), cfg.r_v, cfg.tpr_m, q, cfg.tau_m,
                                        cfg.tau_v, cfg.delta_n / cfg.n)
-    out.inputs.update({
+    out["inputs"].update({
         "pi": args.pi, "n": args.n, "delta_n": delta_n,
         "tpr_m": tpr_m, "fpr_m": fpr_m,
         "tau_m_seconds": tau_m, "tau_v_seconds": args.tau_v,
@@ -394,34 +385,33 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
         "precision_mode": precision_mode,
     })
 
-    outcome = sim.compare(cfg, workers=args.workers)
-    probe = outcome.survivor_precision
+    stats, empirical_verdict, probe = sim.compare(cfg, workers=args.workers)
     if probe is None:  # the screener can pass items, but no trial's did
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
-    out.results = {"trials": cfg.trials, "empirical_verdict": outcome.verdict}
+    out["results"] = {"trials": cfg.trials, "empirical_verdict": empirical_verdict}
     agree_all = True
     for key, expected in model.items():
-        stat = outcome.stats[key]
+        stat = stats[key]
         # the model's SE keeps identical small trials (empirical SE 0), and the
         # relative floor a constant row's mean off by an ulp, from reading as a regression
         error = abs(stat.mean - expected.mean)
         agrees = (error <= 3.0 * max(stat.se, expected.se)
                   or error <= bnd._REL_TOL * abs(expected.mean))
         agree_all = agree_all and agrees
-        out.results[key] = {
+        out["results"][key] = {
             "mean": stat.mean,
             "se": stat.se,
             "analytic": expected.mean,
             "within_3se": agrees,
         }
-    out.results["analytic_agreement"] = agree_all
-    out.results["screener_precision"] = {
+    out["results"]["analytic_agreement"] = agree_all
+    out["results"]["screener_precision"] = {
         "as_published": p_m,
         "prevalence_consistent": p_cons,
         "empirical_mean": probe.mean,
         "empirical_se": probe.se,
     }
-    out.results["analytic_verdict"] = analytic_verdict
+    out["results"]["analytic_verdict"] = analytic_verdict
     return out, EXIT_OK if agree_all else EXIT_REGRESSION
 
 
@@ -478,11 +468,11 @@ def _check_row(section: str, item: str, published, computed, err: float, tol: fl
     return [section, item, published, computed, err, tol, "pass" if err <= tol else "FAIL"]
 
 
-def cmd_reproduce(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_reproduce(args: argparse.Namespace) -> tuple[dict, int]:
     rows = _reproduce_rows()
     failures = sum(1 for r in rows if r[-1] != "pass")
-    out = OutputRecord(
-        command="reproduce",
+    out = _record(
+        "reproduce",
         results={"checks": len(rows), "failures": failures},
         table={
             "columns": ["section", "item", "published", "computed", "error", "tolerance", "status"],

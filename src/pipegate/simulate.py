@@ -27,8 +27,8 @@ offset is reached directly, and each kind's chunks hold exactly the
 variates that one ``random(m)`` call from that offset would return: the
 draw layout above is unchanged.  A chunk that holds its whole trial takes
 all of the trial's draws in one call.  Trials whose draws fit 2048 doubles
-share blocks of 8192 doubles in the calling thread; a larger trial is a
-block alone, in chunks of the buffer's worth of draws, and only such trials
+share blocks that fill the buffer, in the calling thread; a larger trial is
+a block alone, in chunks of the buffer's worth of draws, and only such trials
 use worker threads, as contiguous runs of trials, one per thread.
 
 Within a trial the two filters share nothing, but a single item's screener
@@ -62,7 +62,6 @@ from pipegate.metrics import MetricsError, _check_unit, pass_rate
 __all__ = [
     "SimConfig",
     "Stat",
-    "SimOutcome",
     "run_baseline",
     "run_augmented",
     "compare",
@@ -83,12 +82,12 @@ _AUGMENTED_STREAM = 1
 # sums are paid over more items.
 _CHUNK = 1 << 13
 
-# Trials of at most this many draws share blocks, four or more to _CHUNK
-# doubles, and run in the calling thread: their re-keys and short numpy calls
-# hold the GIL, and on a 2-vCPU VM a second thread did not make them faster.
-# From about 2,700 items per trial a second thread made trials up to
-# 1.2-1.5x as fast, and a trial alone in a block of 8192 doubles drew about
-# 10% slower there.
+# Trials of at most this many draws share blocks, twelve or more to the
+# buffer's 3 * _CHUNK doubles, and run in the calling thread: their re-keys
+# and short numpy calls hold the GIL, and on a 2-vCPU VM a second thread did
+# not make them faster.  From about 2,700 items per trial a second thread made
+# trials up to 1.2-1.5x as fast, and a trial of that size alone in its block
+# drew about 10% slower there.
 _INLINE_DRAWS = _CHUNK // 4
 
 
@@ -142,22 +141,8 @@ class Stat:
     se: float
 
 
-@dataclass(frozen=True)
-class SimOutcome:
-    """Summary of both pipelines' trials.
-
-    ``stats`` is keyed like :func:`expected_outcome`.  ``survivor_precision``
-    is the screener's precision from the same augmented trials; None when
-    the screener passed nothing in every trial.
-    """
-
-    stats: dict[str, Stat]
-    verdict: str
-    survivor_precision: Stat | None
-
-
 def expected_outcome(cfg: SimConfig) -> dict[str, Stat]:
-    """The model's mean and standard error of each statistic in ``SimOutcome.stats``.
+    """The model's mean and standard error of each statistic that :func:`compare` samples.
 
     The means are :func:`pipegate.bounds.expected_figures` at the sampled
     screener's pass rate.  Every count is binomial, and its SE is one trial's
@@ -294,14 +279,15 @@ def _geometry(cfg: SimConfig, stream: int) -> tuple[int, int, int, int]:
 
     The kinds are labels, the screener's if augmented and the validator's if
     R_V < 1.  A trial of at most ``_INLINE_DRAWS`` draws is one chunk, as many
-    to a block as ``_CHUNK`` doubles hold.  A larger trial is a block alone,
-    in chunks of the buffer's worth of draws: fewer kinds take wider chunks.
+    to a block as the buffer's ``3 * _CHUNK`` doubles hold.  A larger trial is
+    a block alone, in chunks of the buffer's worth of draws: fewer kinds take
+    wider chunks.
     """
     augmented = stream == _AUGMENTED_STREAM
     m = cfg.n_total if augmented else cfg.n
     kinds = 1 + augmented + (cfg.r_v < 1.0)
     if kinds * m <= _INLINE_DRAWS:
-        return m, kinds, _CHUNK // (kinds * m), m
+        return m, kinds, 3 * _CHUNK // (kinds * m), m
     return m, kinds, 1, 3 * _CHUNK // kinds
 
 
@@ -364,9 +350,12 @@ def _margin_verdict(stats: dict[str, Stat]) -> str:
     return VERDICT_INCONCLUSIVE
 
 
-def compare(cfg: SimConfig, workers: int = 1) -> SimOutcome:
-    """Run both pipelines on independent streams and compare them.
+def compare(cfg: SimConfig, workers: int = 1) -> tuple[dict[str, Stat], str, Stat | None]:
+    """Run both pipelines on independent streams: ``(stats, verdict, survivor precision)``.
 
+    ``stats`` is keyed like :func:`expected_outcome`, and the verdict is the
+    empirical one.  The survivor precision is the screener's precision over
+    the same augmented trials; None when it passed nothing in every trial.
     numpy stays quiet by policy: a statistic that overflows comes back as
     inf (or nan), and the caller decides what a non-finite result means.
     """
@@ -384,4 +373,4 @@ def compare(cfg: SimConfig, workers: int = 1) -> SimOutcome:
         some = aug["survivors"] > 0
         precision = (_summarize(aug["good_survivors"][some] / aug["survivors"][some])
                      if some.any() else None)
-    return SimOutcome(stats=stats, verdict=_margin_verdict(stats), survivor_precision=precision)
+    return stats, _margin_verdict(stats), precision

@@ -116,9 +116,9 @@ def test_criterion_3_time_limit_grid():
             scr = met.invert_detector(record.spec)
             for stat, tau_v in benchmark.as_columns().items():
                 # the published cells are the relaxed bound at P_M = R_M
-                as_published = bnd.max_model_time(
+                as_published, _ = bnd.max_model_time(
                     tau_v, scr.recall, scr.recall, PI_PLANNING
-                ).relaxed
+                )
                 published = cat.PUBLISHED_TIME_LIMITS[record.name][stat]
                 rel = abs(as_published - published) / published
                 if rel > 0.05:
@@ -126,9 +126,9 @@ def test_criterion_3_time_limit_grid():
                         (record.name, stat, published, as_published, rel)
                     )
                 # the bound at the row's own P_M is the break-even budget
-                printed = bnd.max_model_time(
+                printed, _ = bnd.max_model_time(
                     tau_v, scr.recall, scr.precision, PI_PLANNING
-                ).relaxed
+                )
                 verdict, _ = _verdict_at(scr, tau_v, printed)
                 if verdict != bnd.VERDICT_BOUNDARY:
                     off_boundary.append((record.name, stat, printed, verdict))
@@ -160,7 +160,7 @@ def test_criterion_4_boundary_identity_property():
             tau_v = rng.uniform(0.01, 5000.0)
             n = rng.uniform(1.0, 1e7)
             dn = bnd.min_extra_ratio(r_m)
-            tau_m = bnd.max_model_time(tau_v, r_m, p_m, pi, dn).tight
+            _, tau_m = bnd.max_model_time(tau_v, r_m, p_m, pi, dn)
             if tau_m < 0:
                 continue
             fig = bnd.expected_figures(pi, n, n * (1.0 + dn), r_v, r_m, (r_m / p_m) * pi,
@@ -202,7 +202,7 @@ def test_criterion_5_oracle_equivalence():
                 trials=trials,
                 seed=SEED,
             )
-            outcome = sim.compare(cfg)
+            stats, empirical, _ = sim.compare(cfg)
             m = cfg.n_total
             rate = PI_PLANNING * scr.recall + (1 - PI_PLANNING) * scr.fpr
             expected = {
@@ -216,7 +216,7 @@ def test_criterion_5_oracle_equivalence():
             model = {k: s.mean for k, s in sim.expected_outcome(cfg).items()}
             assert model == pytest.approx(expected, rel=1e-12)
             for key, value in expected.items():
-                stat = outcome.stats[key]
+                stat = stats[key]
                 delta = abs(stat.mean - value)
                 if not (delta <= 3 * stat.se or delta == 0.0):
                     mismatches.append((record.name, key, stat.mean, value, stat.se))
@@ -227,15 +227,14 @@ def test_criterion_5_oracle_equivalence():
                                        (scr.recall / p_cons) * PI_PLANNING, tau_m, tau_v, dn / n)
             # its margins are the reference figures: (R_M/P_cons)*pi is the pass rate
             tp_margin = abs(expected["augmented_tp"] - expected["baseline_tp"])
-            stats = outcome.stats
             tp_band = 3 * np.hypot(stats["augmented_tp"].se, stats["baseline_tp"].se)
             time_margin = abs(expected["augmented_time"] - expected["baseline_time"])
             time_band = 3 * np.hypot(stats["augmented_time"].se, stats["baseline_time"].se)
             if tp_margin > tp_band and time_margin > time_band:
                 verdict_checks += 1
-                if analytic != outcome.verdict:
+                if analytic != empirical:
                     mismatches.append(
-                        (record.name, "verdict", outcome.verdict, analytic, None)
+                        (record.name, "verdict", empirical, analytic, None)
                     )
         ok = not mismatches and verdict_checks > 0
     report(5, f"Monte Carlo vs closed forms, {verdict_checks} resolvable verdicts", ok)

@@ -75,27 +75,27 @@ class TestBoundsFormulas:
 
     def test_max_model_time_linevul_q25(self):
         p_m = invert_detector_precision(0.97, 0.86, 0.002)
-        budget = max_model_time(9.17, 0.998, p_m, 0.38)
-        assert budget.relaxed > 0
-        assert budget.relaxed == pytest.approx(5.67, rel=0.01)
+        relaxed, _ = max_model_time(9.17, 0.998, p_m, 0.38)
+        assert relaxed > 0
+        assert relaxed == pytest.approx(5.67, rel=0.01)
 
     def test_max_model_time_no_headroom(self):
-        budget = max_model_time(100.0, 0.9, 0.38, 0.38)
-        assert budget.relaxed == pytest.approx(0.0, abs=1e-12)
-        assert budget.relaxed <= 0
+        relaxed, _ = max_model_time(100.0, 0.9, 0.38, 0.38)
+        assert relaxed == pytest.approx(0.0, abs=1e-12)
+        assert relaxed <= 0
 
     def test_max_model_time_vuldeepecker_median(self):
-        budget = max_model_time(27.04, VDP_R_M, VDP_P_M, 0.38)
-        assert budget.relaxed == pytest.approx(15.27, abs=0.01)
-        assert budget.relaxed == pytest.approx(15.6, rel=0.03)
+        relaxed, _ = max_model_time(27.04, VDP_R_M, VDP_P_M, 0.38)
+        assert relaxed == pytest.approx(15.27, abs=0.01)
+        assert relaxed == pytest.approx(15.6, rel=0.03)
 
     def test_tight_equals_relaxed_at_minimum_ratio(self):
-        budget = max_model_time(27.04, VDP_R_M, VDP_P_M, 0.38, min_extra_ratio(VDP_R_M))
-        assert budget.tight == pytest.approx(budget.relaxed, rel=1e-12)
+        relaxed, tight = max_model_time(27.04, VDP_R_M, VDP_P_M, 0.38, min_extra_ratio(VDP_R_M))
+        assert tight == pytest.approx(relaxed, rel=1e-12)
 
     def test_tight_below_relaxed_beyond_minimum(self):
-        budget = max_model_time(27.04, VDP_R_M, VDP_P_M, 0.38, 0.2)
-        assert budget.tight < budget.relaxed
+        relaxed, tight = max_model_time(27.04, VDP_R_M, VDP_P_M, 0.38, 0.2)
+        assert tight < relaxed
 
     def test_min_validator_time_fixed_model(self):
         floor = min_validator_time(156, VDP_R_M, VDP_P_M, 0.38)
@@ -124,10 +124,10 @@ class TestBoundsFormulas:
         pi=st.floats(min_value=0.01, max_value=0.4),
     )
     def test_relaxed_bound_monotonicity(self, tau_v, r_m, p_m, pi):
-        base = max_model_time(tau_v, r_m, p_m, pi).relaxed
-        assert max_model_time(tau_v * 1.01, r_m, p_m, pi).relaxed > base
-        assert max_model_time(tau_v, r_m, min(1.0, p_m + 1e-3), pi).relaxed > base
-        assert max_model_time(tau_v, r_m, p_m, pi + 1e-3).relaxed < base
+        base = max_model_time(tau_v, r_m, p_m, pi)[0]
+        assert max_model_time(tau_v * 1.01, r_m, p_m, pi)[0] > base
+        assert max_model_time(tau_v, r_m, min(1.0, p_m + 1e-3), pi)[0] > base
+        assert max_model_time(tau_v, r_m, p_m, pi + 1e-3)[0] < base
 
     @given(
         r_m=st.floats(min_value=0.05, max_value=1.0),
@@ -136,8 +136,8 @@ class TestBoundsFormulas:
         tau_v=st.floats(min_value=0.1, max_value=1e4),
     )
     def test_time_bound_implies_screener_faster_than_validator(self, r_m, p_m, pi, tau_v):
-        budget = max_model_time(tau_v, r_m, p_m, pi, min_extra_ratio(r_m))
-        assert budget.tight <= tau_v + 1e-9
+        _, tight = max_model_time(tau_v, r_m, p_m, pi, min_extra_ratio(r_m))
+        assert tight <= tau_v + 1e-9
 
 
 class TestEvaluate:
@@ -159,8 +159,8 @@ class TestEvaluate:
 
     def test_boundary_verdict_at_exact_tie(self):
         dn = min_extra_ratio(VDP_R_M)
-        budget = max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, dn)
-        assert verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, budget.tight, dn) == (
+        _, tight = max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, dn)
+        assert verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, tight, dn) == (
             VERDICT_BOUNDARY, "throughput+time")
 
     def test_screener_passing_no_good_patch_rejected(self):
@@ -216,7 +216,7 @@ class TestEvaluate:
             tau_v = rng.uniform(0.1, 1000.0)
             n = rng.uniform(1, 1e6)
             dn = min_extra_ratio(r_m)
-            tau_m = max_model_time(tau_v, r_m, p_m, pi, dn).tight
+            _, tau_m = max_model_time(tau_v, r_m, p_m, pi, dn)
             if tau_m < 0:
                 continue
             fig = figures(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn)

@@ -386,7 +386,7 @@ class TestSimulate:
         code, doc, _ = run_json(capsys, *self.ARGS, "--workers", "2")
         assert code == 0
         assert len(configs) == 1
-        probe = sim.compare(configs[0]).survivor_precision
+        _, _, probe = sim.compare(configs[0])
         precision = doc["results"]["screener_precision"]
         assert precision["empirical_mean"] == probe.mean
         assert precision["empirical_se"] == probe.se

@@ -72,16 +72,16 @@ PUBLIC = {
     "metrics": ["MetricsError", "ClassifierSpec", "EPS_CONSISTENCY", "bayes_fpr",
                 "invert_detector_precision", "pass_rate", "precision_at_prevalence",
                 "invert_detector"],
-    "bounds": ["ModelTimeBudget", "VERDICT_CONVENIENT", "VERDICT_NOT_CONVENIENT",
-               "VERDICT_BOUNDARY", "min_extra_ratio", "max_model_time", "min_validator_time",
-               "expected_figures", "evaluate"],
+    "bounds": ["VERDICT_CONVENIENT", "VERDICT_NOT_CONVENIENT", "VERDICT_BOUNDARY",
+               "min_extra_ratio", "max_model_time", "min_validator_time", "expected_figures",
+               "evaluate"],
     "catalog": ["CatalogError", "FPR_REPORTED", "FPR_BAYES", "LATENCY_REPORTED",
                 "LATENCY_LOWER_BOUND", "LATENCY_UNKNOWN", "ModelRecord", "BenchmarkTimes",
                 "Catalog", "builtin_catalog", "builtin_benchmark", "load_catalog",
                 "PUBLISHED_TIME_LIMITS", "PUBLISHED_PLANNING"],
-    "simulate": ["SimConfig", "Stat", "SimOutcome", "run_baseline", "run_augmented", "compare",
+    "simulate": ["SimConfig", "Stat", "run_baseline", "run_augmented", "compare",
                  "expected_outcome", "VERDICT_INCONCLUSIVE", "NOTHING_SURVIVES"],
-    "cli": ["main", "OutputRecord"],
+    "cli": ["main"],
 }
 
 

@@ -54,14 +54,14 @@ class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
         cfg = make_config()
         assert compare(cfg, workers=1) == compare(cfg, workers=4)
-        probe1 = compare(cfg, workers=1).survivor_precision
-        probe8 = compare(cfg, workers=8).survivor_precision
+        _, _, probe1 = compare(cfg, workers=1)
+        _, _, probe8 = compare(cfg, workers=8)
         assert probe1 == probe8
 
     def test_different_seeds_differ(self):
-        a = compare(make_config(seed=1))
-        b = compare(make_config(seed=2))
-        assert a.stats["baseline_tp"].mean != b.stats["baseline_tp"].mean
+        a, _, _ = compare(make_config(seed=1))
+        b, _, _ = compare(make_config(seed=2))
+        assert a["baseline_tp"].mean != b["baseline_tp"].mean
 
     def test_baseline_and_augmented_streams_independent(self):
         cfg = make_config(delta_n=0, tau_m=0.0, tpr_m=1.0, fpr_m=1.0)
@@ -260,22 +260,26 @@ class TestSamplerSpec:
         simulate._Worker()._draw(make_config(seed=seed), trial, stream, offset, out)
         assert out.tolist() == philox_doubles((seed, 2 * trial + stream), offset, 9)
 
-    @pytest.mark.parametrize("n,delta_n,r_v,trials,layouts", [
-        (200, 40, 0.9, 3, ("block", "block")),
-        (200, 40, 1.0, 3, ("block", "block")),
+    @pytest.mark.parametrize("n,delta_n,r_v,trials,layouts,blocks", [
+        (200, 40, 0.9, 3, ("block", "block"), (61, 34)),
+        (200, 40, 1.0, 3, ("block", "block"), (122, 51)),
         # 2 * 1,100 baseline draws in one chunk, and 8,193 augmented items at
         # 3 kinds, which end on a 1-item chunk
-        (1100, 7093, 0.9, 2, ("chunk", "chunks")),
+        (1100, 7093, 0.9, 2, ("chunk", "chunks"), (1, 1)),
         # 2,200 and 3,300 draws: too many to share a block, one chunk each
-        (1100, 0, 0.9, 2, ("chunk", "chunk")),
-    ], ids=["block", "block-full-recall", "chunked", "one-chunk"])
-    def test_counts_match_spec(self, n, delta_n, r_v, trials, layouts):
+        (1100, 0, 0.9, 2, ("chunk", "chunk"), (1, 1)),
+        # 1,024 and 2,048 draws fill the buffer at 24 and 12 trials to a
+        # block, so the last block of each stream holds one trial
+        (1024, 0, 1.0, 25, ("block", "block"), (24, 12)),
+    ], ids=["block", "block-full-recall", "chunked", "one-chunk", "last-block-one-trial"])
+    def test_counts_match_spec(self, n, delta_n, r_v, trials, layouts, blocks):
         cfg = make_config(n=n, delta_n=delta_n, r_v=r_v, trials=trials, tpr_m=0.3, fpr_m=0.6)
-        for run, stream, layout in zip((run_baseline, run_augmented),
-                                       (simulate._BASELINE_STREAM, simulate._AUGMENTED_STREAM),
-                                       layouts):
+        for run, stream, layout, block_rows in zip(
+                (run_baseline, run_augmented),
+                (simulate._BASELINE_STREAM, simulate._AUGMENTED_STREAM), layouts, blocks):
             m, _, per_block, width = simulate._geometry(cfg, stream)
             assert ("block" if per_block > 1 else "chunk" if width >= m else "chunks") == layout
+            assert per_block == block_rows
             got = run(cfg)
             rows = zip(got["tp"], got["survivors"], got["good_survivors"])
             assert [tuple(map(int, row)) for row in rows] == [
@@ -368,13 +372,13 @@ class TestCompare:
     def test_convenient_scenario(self):
         # analytic margins are wide: tau_v=600 far above the 4.6 min floor
         cfg = make_config(n=100_000, delta_n=6000, trials=100, tau_v=600.0)
-        outcome = compare(cfg)
-        assert outcome.verdict == "convenient"
+        _, verdict, _ = compare(cfg)
+        assert verdict == "convenient"
 
     def test_fast_validator_not_convenient(self):
         cfg = make_config(tau_v=27.04)
-        outcome = compare(cfg)
-        assert outcome.verdict == "not-convenient"
+        _, verdict, _ = compare(cfg)
+        assert verdict == "not-convenient"
 
     def test_boundary_config_inconclusive(self):
         # dn at the exact throughput boundary and tau_m at the tight time
@@ -386,8 +390,8 @@ class TestCompare:
         tau_v = 600.0
         tau_m = tau_v * (1 / (1 + dn_ratio) - (r_m / p_cons) * 0.38)
         cfg = make_config(n=n, delta_n=int(round(n * dn_ratio)), tau_m=tau_m, tau_v=tau_v)
-        outcome = compare(cfg)
-        assert outcome.verdict == VERDICT_INCONCLUSIVE
+        _, verdict, _ = compare(cfg)
+        assert verdict == VERDICT_INCONCLUSIVE
 
     def test_trials_recorded(self, capsys):
         cfg = make_config(n=1000, delta_n=60, trials=13)
@@ -404,24 +408,24 @@ class TestCompare:
 class TestSurvivorPrecisionProbe:
     def test_matches_prevalence_consistent_precision(self):
         cfg = make_config(n=100_000, trials=100)
-        stat = compare(cfg).survivor_precision
+        _, _, stat = compare(cfg)
         expected = precision_at_prevalence(0.95, 0.16, 0.38)
         assert expected == pytest.approx(0.784, abs=5e-4)
         assert abs(stat.mean - expected) <= 3 * stat.se
 
     def test_zero_fpr_gives_perfect_precision(self):
         cfg = make_config(tpr_m=0.9, fpr_m=0.0)
-        stat = compare(cfg).survivor_precision
+        _, _, stat = compare(cfg)
         assert stat.mean == 1.0
         assert stat.se == 0.0
 
     def test_nothing_survives(self):
         cfg = make_config(tpr_m=0.0, fpr_m=0.0, trials=3)
-        assert compare(cfg).survivor_precision is None
+        assert compare(cfg)[2] is None
 
     def test_uninformative_screener_precision_equals_prevalence(self):
         cfg = make_config(n=100_000, tpr_m=0.5, fpr_m=0.5, trials=100)
-        stat = compare(cfg).survivor_precision
+        _, _, stat = compare(cfg)
         assert abs(stat.mean - 0.38) <= 3 * stat.se
 
 
