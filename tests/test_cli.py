@@ -165,6 +165,47 @@ class TestBounds:
         assert code == 0
         assert any("optimistic" in w for w in doc["warnings"])
 
+    # VulDeePecker at tau_V = 27.04 s: the relaxed budget is 15.27165714285714 s
+    # and the tight one at dn/n = 0.06 is 15.0931 s; tau_M about 1% either side
+    # of each gives opposite verdicts, and the printed relaxed budget ties
+    @pytest.mark.parametrize("extra,verdict,binding", [
+        (("--tau-m", "15.119"), "convenient", None),
+        (("--tau-m", "15.424"), "not-convenient", "time"),
+        (("--tau-m", "15.27165714285714"), "boundary", "throughput+time"),
+        (("--tau-m", "14.942", "--delta-ratio", "0.06"), "convenient", None),
+        (("--tau-m", "15.244", "--delta-ratio", "0.06"), "not-convenient", "time"),
+    ])
+    def test_verdict_at_time_budget(self, capsys, extra, verdict, binding):
+        code, doc, _ = run_json(capsys, "bounds", "--model", "VulDeePecker", "--pi", "0.38",
+                                "--tau-v", "27.04", *extra)
+        assert code == 0
+        assert (doc["results"]["verdict"], doc["results"].get("binding_constraint")) == (
+            verdict, binding)
+
+    def test_zero_delta_ratio(self, capsys):
+        # dn/n = 0 is the smallest extra volume, not an error, with or without tau_V
+        code, doc, _ = run_json(capsys, "bounds", "--model", "VulDeePecker", "--pi", "0.38",
+                                "--tau-v", "30", "--delta-ratio", "0")
+        assert code == 0
+        assert doc["results"]["max_model_time_tight_seconds"]["value"] == 18.443406593406593
+        code, _, _ = run_json(capsys, "bounds", "--model", "VulDeePecker", "--pi", "0.38",
+                              "--delta-ratio", "0")
+        assert code == 0
+
+    @pytest.mark.parametrize("detector", [
+        # FPR 0: every patch the screener passes is good
+        {"precision": 1.0, "recall": 0.84, "fpr": 0.0, "latency_seconds": 1},
+        {"precision": 1.0, "recall": 1.0, "fpr": 0.0, "latency_seconds": 0},
+    ], ids=["fpr-0", "perfect"])
+    def test_screener_precision_one(self, capsys, tmp_path, detector):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"models": [{"name": "x", "prevalence": 0.29, **detector}]}))
+        code, doc, _ = run_json(capsys, "bounds", "--model", str(path), "--pi", "0.38",
+                                "--tau-v", "30")
+        assert code == 0
+        assert doc["results"]["screener_precision"]["value"] == 1.0
+        assert doc["results"]["verdict"] == "convenient"
+
 
 class TestLimits:
     def test_grid_against_published(self, capsys):
@@ -201,23 +242,31 @@ class TestLimits:
         assert rows[0] == ["model", "q25", "median", "q75", "mean"]
         assert len(rows) == 8
 
-    def test_benchmark_from_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("quartiles", [(1, 2, 3), (5, 5, 5)], ids=["rising", "equal"])
+    def test_benchmark_from_file(self, capsys, tmp_path, quartiles):
+        q25, median, q75 = quartiles
         doc = {
             "models": [],
-            "benchmark": {"q25": 1, "median": 2, "q75": 3, "mean": 4, "prevalence": 0.38},
+            "benchmark": {"q25": q25, "median": median, "q75": q75, "mean": 4,
+                          "prevalence": 0.38},
         }
         path = tmp_path / "bm.json"
         path.write_text(json.dumps(doc))
         code, parsed, _ = run_json(capsys, "limits", "--benchmark", str(path))
         assert code == 0
-        assert parsed["inputs"]["benchmark"]["q25"] == 1
+        assert parsed["inputs"]["benchmark"]["q25"] == q25
 
-    def test_bad_benchmark_names_file_and_section(self, capsys, tmp_path):
+    @pytest.mark.parametrize("field,value,message", [
+        ("prevalence", 1.0, "prevalence must be in (0, 1)"),
+        ("prevalence", 0.0, "prevalence must be in (0, 1)"),
+        ("q25", 0, "quartiles must satisfy 0 < q25 <= median <= q75"),
+    ])
+    def test_bad_benchmark_names_file_and_section(self, capsys, tmp_path, field, value, message):
         path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"benchmark": {"q25": 1, "median": 2, "q75": 3, "mean": 4,
-                                                  "prevalence": 1.0}}))
+        bench = {"q25": 1, "median": 2, "q75": 3, "mean": 4, "prevalence": 0.38, field: value}
+        path.write_text(json.dumps({"benchmark": bench}))
         got = run_cli(capsys, "limits", "--benchmark", str(path))
-        assert got == (3, "", f"error: {path}: benchmark: prevalence must be in (0, 1)\n")
+        assert got == (3, "", f"error: {path}: benchmark: {message}\n")
 
     def test_empty_benchmark_means_builtin(self, capsys, tmp_path, monkeypatch):
         # an empty --benchmark counts as not given, as an empty --catalog does:
@@ -473,7 +522,10 @@ class TestSimulate:
          sim.NOTHING_SURVIVES),
         (("--model", "VulDeePecker", "--tau-v", "1e307", "--tau-m", "1e307"),
          "a pipeline figure is not a finite number; inputs too large"),
-    ], ids=["tau-v-0", "validator-tpr-0", "precision-0", "passes-nothing", "overflow"])
+        (("--model", "VulDeePecker", "--tau-v", "30", "--tau-m", "-1"),
+         "latencies must be >= 0"),
+    ], ids=["tau-v-0", "validator-tpr-0", "precision-0", "passes-nothing", "overflow",
+            "tau-m-negative"])
     def test_rejected_before_sampling(self, capsys, monkeypatch, extra, message):
         def compare(cfg, workers=1):
             raise AssertionError("sampled a scenario the inputs already reject")
@@ -530,6 +582,21 @@ class TestSimulate:
         assert precision["as_published"] == pytest.approx(
             met.precision_at_prevalence(doc["inputs"]["tpr_m"], doc["inputs"]["fpr_m"], 0.38)
         )
+
+    # the analytic verdict about 1% either side of the tight budget at dn/n =
+    # 0.06: 15.0931 s at the published P_M, 13.065 s at the consistent one.
+    # Only the verdict is asserted: the exit follows the sampled agreement
+    @pytest.mark.parametrize("extra,verdict", [
+        (("--tau-m", "14.942"), "convenient"),
+        (("--tau-m", "15.244"), "not-convenient"),
+        (("--tau-m", "12.935", "--precision-mode", "prevalence-consistent"), "convenient"),
+        (("--tau-m", "13.196", "--precision-mode", "prevalence-consistent"), "not-convenient"),
+    ])
+    def test_analytic_verdict_at_time_budget(self, capsys, extra, verdict):
+        _, doc, _ = run_json(capsys, "simulate", "--model", "VulDeePecker", "--pi", "0.38",
+                             "--tau-v", "27.04", "--delta-ratio", "0.06", "--n", "2000",
+                             "--trials", "20", *extra)
+        assert doc["results"]["analytic_verdict"] == verdict
 
     def test_rounded_constant_mean_agrees(self, capsys):
         # every trial's baseline time is n * tau_v, but their mean misses it
