@@ -125,27 +125,28 @@ def expected_figures(pi: float, n: float, n_total: float, r_v: float, r_m: float
     }
 
 
-def evaluate(pi: float, n: float, r_v: float, r_m: float, q: float, tau_m: float, tau_v: float,
-             dn_ratio: float) -> tuple[str, str | None]:
+def evaluate(pi: float, n: float, r_v: float, r_m: float, p_m: float, tau_m: float,
+             tau_v: float, dn_ratio: float) -> tuple[str, str | None]:
     """Full convenience check of one scenario at a chosen extra-volume ratio.
 
     Compares the :func:`expected_figures` over N = n*(1 + dn_ratio) at the
-    pass rate q that the caller chose and returns ``(verdict, binding)``.
-    Verdict is ``convenient`` iff throughput does not drop and time does not
-    grow, with at least one strict; ties within 1e-9 relative on both give
+    pass rate q = (R_M/P_M)*pi and returns ``(verdict, binding)``.  Verdict
+    is ``convenient`` iff throughput does not drop and time does not grow,
+    with at least one strict; ties within 1e-9 relative on both give
     ``boundary``.  ``binding`` names the violated (or tying) constraint.
-    Checks, in order: tau_V > 0, R_V > 0 and dn_ratio >= 0.  The caller
-    range-checks the rest, and P_M > 0 before it forms q.  Finite inputs
-    whose figures overflow raise: two infinite times tie, so any verdict
-    drawn from them would be false.
+    Checks, in order: 0 < P_M <= 1, tau_V > 0, R_V > 0 and dn_ratio >= 0;
+    the caller range-checks the rest.  Finite inputs whose figures overflow
+    raise: two infinite times tie, so any verdict drawn from them would be
+    false.
     """
+    _check_unit("precision", p_m, lo_open=True)
     if tau_v <= 0:
         raise MetricsError("validator latency must be present and > 0")
     if r_v <= 0:
         raise MetricsError("validator recall must be > 0")
     if dn_ratio < 0:
         raise MetricsError(f"dn_ratio must be >= 0, got {dn_ratio}")
-    f = expected_figures(pi, n, n * (1.0 + dn_ratio), r_v, r_m, q, tau_m, tau_v)
+    f = expected_figures(pi, n, n * (1.0 + dn_ratio), r_v, r_m, (r_m / p_m) * pi, tau_m, tau_v)
     base_tp, aug_tp = f["baseline_tp"], f["augmented_tp"]
     base_time, aug_time = f["baseline_time"], f["augmented_time"]
     if not all(math.isfinite(x) for x in (base_tp, aug_tp, base_time, aug_time)):

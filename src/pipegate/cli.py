@@ -196,12 +196,25 @@ def _consistency_warnings(records) -> list[str]:
     return lines
 
 
-def _model_warnings(record: cat.ModelRecord, args: argparse.Namespace) -> list[str]:
-    """Warnings of a command whose screener latency defaults to the ``--model`` row's."""
+def _screener(record: cat.ModelRecord, tau_m: float | None, tpr_m: float | None = None,
+              fpr_m: float | None = None) -> tuple[tuple, list[str]]:
+    """The screener a ``--model`` row gives: ``((R_M, F_M, P_M, tau_M), warnings)``.
+
+    A rate passed in overrides the row's.  P_M is the published precision
+    while both rates are the row's, and None otherwise.  tau_M defaults to
+    the row's latency (None when it has none), which warns as optimistic
+    when it is a published lower bound.
+    """
+    scr = met.invert_detector(record.spec)
     lines = []
-    if record.latency_provenance == cat.LATENCY_LOWER_BOUND and args.tau_m is None:
-        lines.append(OPTIMISTIC_LATENCY)
-    return lines + _consistency_warnings([record])
+    if tau_m is None:
+        tau_m = scr.latency
+        if record.latency_provenance == cat.LATENCY_LOWER_BOUND:
+            lines.append(OPTIMISTIC_LATENCY)
+    p_m = scr.precision if tpr_m is None and fpr_m is None else None
+    r_m = scr.recall if tpr_m is None else tpr_m
+    f_m = scr.fpr if fpr_m is None else fpr_m
+    return (r_m, f_m, p_m, tau_m), lines + _consistency_warnings([record])
 
 
 def _detector_inputs(record: cat.ModelRecord) -> dict:
@@ -239,33 +252,29 @@ def cmd_invert(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     record = _resolve_model(args)
-    scr = met.invert_detector(record.spec)
+    (r_m, _, p_m, tau_m), warnings = _screener(record, args.tau_m)
     pi = args.pi
-    tau_m = args.tau_m if args.tau_m is not None else scr.latency
     tau_v = args.tau_v
     if tau_m is None and tau_v is None:
         raise CliError(EXIT_INVALID, "one of --tau-m / --tau-v is required")
 
-    out = _record("bounds", inputs=_detector_inputs(record))
+    out = _record("bounds", inputs=_detector_inputs(record), warnings=warnings)
     out["inputs"].update({"pi": pi, "tau_m_seconds": tau_m, "tau_v_seconds": tau_v,
                           "delta_ratio": args.delta_ratio})
-    out["results"]["screener_precision"] = _tagged(scr.precision, "derived")
-    out["results"]["screener_recall"] = _tagged(scr.recall, "derived")
-    min_ratio = bnd.min_extra_ratio(scr.recall)
+    out["results"]["screener_precision"] = _tagged(p_m, "derived")
+    out["results"]["screener_recall"] = _tagged(r_m, "derived")
+    min_ratio = bnd.min_extra_ratio(r_m)
     out["results"]["min_extra_ratio"] = _tagged(min_ratio, "derived")
-    out["warnings"] = _model_warnings(record, args)
 
     met._check_unit("pi", pi, lo_open=True, hi_open=True)  # pi >= 1 is out of range, not headroom
-    if scr.precision <= pi:
-        raise CliError(
-            EXIT_INVALID,
-            f"no precision headroom: screener precision {scr.precision:.4g} <= pi {pi}",
-        )
+    if p_m <= pi:
+        raise CliError(EXIT_INVALID,
+                       f"no precision headroom: screener precision {p_m:.4g} <= pi {pi}")
     if tau_m is not None:
-        floor = bnd.min_validator_time(tau_m, scr.recall, scr.precision, pi)
+        floor = bnd.min_validator_time(tau_m, r_m, p_m, pi)
         out["results"]["min_validator_time_seconds"] = _tagged(floor, "derived")
     if tau_v is not None:
-        relaxed, tight = bnd.max_model_time(tau_v, scr.recall, scr.precision, pi, args.delta_ratio)
+        relaxed, tight = bnd.max_model_time(tau_v, r_m, p_m, pi, args.delta_ratio)
         if tau_v == 0:  # no budget, whether or not the row's latency asks for a verdict
             raise met.MetricsError("validator latency must be present and > 0")
         out["results"]["max_model_time_relaxed_seconds"] = _tagged(relaxed, "derived")
@@ -275,8 +284,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
         raise met.MetricsError(f"dn_ratio must be >= 0, got {args.delta_ratio}")
     if tau_m is not None and tau_v is not None:
         dn = args.delta_ratio if args.delta_ratio is not None else min_ratio
-        q = (scr.recall / scr.precision) * pi
-        verdict, binding = bnd.evaluate(pi, 100.0, 1.0, scr.recall, q, tau_m, tau_v, dn)
+        verdict, binding = bnd.evaluate(pi, 100.0, 1.0, r_m, p_m, tau_m, tau_v, dn)
         out["results"]["verdict"] = verdict
         if binding:
             out["results"]["binding_constraint"] = binding
@@ -323,23 +331,20 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     """Check the whole scenario, then sample it and compare with the model.
 
     Nothing samples before every check has run.  The analytic verdict uses
-    the published P_M under ``as-published`` when both screener rates are
-    the ``--model`` row's, and the precision at the generator's pi otherwise;
-    ``inputs`` echoes that mode.
+    the published P_M under ``as-published`` when :func:`_screener` gives
+    one, and the precision at the generator's pi otherwise; ``inputs``
+    echoes that mode.
     """
     out = _record("simulate")
     if args.model is not None:
         record = _resolve_model(args)
-        out["warnings"] = _model_warnings(record, args)
-        scr = met.invert_detector(record.spec)
-        tpr_m = scr.recall if args.tpr_m is None else args.tpr_m
-        fpr_m = scr.fpr if args.fpr_m is None else args.fpr_m
-        tau_m = args.tau_m if args.tau_m is not None else scr.latency
+        (tpr_m, fpr_m, p_pub, tau_m), out["warnings"] = _screener(
+            record, args.tau_m, args.tpr_m, args.fpr_m)
         out["inputs"].update(_detector_inputs(record))
     else:
         if args.tpr_m is None or args.fpr_m is None:
             raise CliError(EXIT_INVALID, "either --model or both --tpr-m/--fpr-m are required")
-        tpr_m, fpr_m, tau_m = args.tpr_m, args.fpr_m, args.tau_m
+        tpr_m, fpr_m, p_pub, tau_m = args.tpr_m, args.fpr_m, None, args.tau_m
     if tau_m is None:
         raise CliError(EXIT_INVALID, "screener latency unknown: pass --tau-m")
     if args.workers < 1:
@@ -368,13 +373,10 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     model = sim.expected_outcome(cfg)
     if model["survivors"].mean == 0:  # a screener that passes nothing
         raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
-    published = args.model is not None and args.tpr_m is None and args.fpr_m is None
-    precision_mode = args.precision_mode if published else PRECISION_CONSISTENT
+    precision_mode = args.precision_mode if p_pub is not None else PRECISION_CONSISTENT
     p_cons = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
-    p_m = scr.precision if precision_mode == PRECISION_AS_PUBLISHED else p_cons
-    met._check_unit("precision", p_m, lo_open=True)
-    q = (cfg.tpr_m / p_m) * cfg.pi
-    analytic_verdict, _ = bnd.evaluate(cfg.pi, float(cfg.n), cfg.r_v, cfg.tpr_m, q, cfg.tau_m,
+    p_m = p_pub if precision_mode == PRECISION_AS_PUBLISHED else p_cons
+    analytic_verdict, _ = bnd.evaluate(cfg.pi, float(cfg.n), cfg.r_v, cfg.tpr_m, p_m, cfg.tau_m,
                                        cfg.tau_v, cfg.delta_n / cfg.n)
     out["inputs"].update({
         "pi": args.pi, "n": args.n, "delta_n": delta_n,

@@ -101,8 +101,7 @@ def test_criterion_2_fixed_model_reproduction():
 
 def _verdict_at(scr, tau_v: float, tau_m: float) -> tuple[str, str | None]:
     """Convenience check of screener ``scr`` at latency tau_m, minimum extra volume."""
-    q = (scr.recall / scr.precision) * PI_PLANNING
-    return bnd.evaluate(PI_PLANNING, 1.0, 1.0, scr.recall, q, tau_m, tau_v,
+    return bnd.evaluate(PI_PLANNING, 1.0, 1.0, scr.recall, scr.precision, tau_m, tau_v,
                         bnd.min_extra_ratio(scr.recall))
 
 
@@ -223,8 +222,8 @@ def test_criterion_5_oracle_equivalence():
 
             # analytic verdict via the prevalence-consistent closed forms
             p_cons = met.precision_at_prevalence(scr.recall, scr.fpr, PI_PLANNING)
-            analytic, _ = bnd.evaluate(PI_PLANNING, float(n), 1.0, scr.recall,
-                                       (scr.recall / p_cons) * PI_PLANNING, tau_m, tau_v, dn / n)
+            analytic, _ = bnd.evaluate(PI_PLANNING, float(n), 1.0, scr.recall, p_cons, tau_m,
+                                       tau_v, dn / n)
             # its margins are the reference figures: (R_M/P_cons)*pi is the pass rate
             tp_margin = abs(expected["augmented_tp"] - expected["baseline_tp"])
             tp_band = 3 * np.hypot(stats["augmented_tp"].se, stats["baseline_tp"].se)

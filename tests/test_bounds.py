@@ -26,11 +26,6 @@ def figures(pi=0.38, n=100, r_v=1.0, tau_v=1.0, p_m=1.0, r_m=1.0, tau_m=0.0, dn_
     return expected_figures(pi, n, n * (1.0 + dn_ratio), r_v, r_m, (r_m / p_m) * pi, tau_m, tau_v)
 
 
-def verdict(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn_ratio):
-    """``evaluate`` at the published-precision pass rate q = (R_M/P_M)*pi."""
-    return evaluate(pi, n, r_v, r_m, (r_m / p_m) * pi, tau_m, tau_v, dn_ratio)
-
-
 class TestThroughput:
     def test_baseline_tp(self):
         assert figures(0.38, 100, 1.0)["baseline_tp"] == pytest.approx(38.0)
@@ -142,25 +137,25 @@ class TestBoundsFormulas:
 
 class TestEvaluate:
     def test_convenient_scenario(self):
-        assert verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 156.0, 0.06) == (
+        assert evaluate(0.38, 100, 1.0, VDP_R_M, VDP_P_M, 156.0, 300.0, 0.06) == (
             VERDICT_CONVENIENT, None)
 
     def test_perfect_free_screener_boundary_on_tp(self):
         # tp ties exactly, time is strictly smaller
-        assert verdict(0.38, 100, 1.0, 10.0, 1.0, 1.0, 0.0, 0.0) == (VERDICT_CONVENIENT, None)
+        assert evaluate(0.38, 100, 1.0, 1.0, 1.0, 0.0, 10.0, 0.0) == (VERDICT_CONVENIENT, None)
         fig = figures(0.38, 100, 1.0, tau_v=10.0)
         assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"], rel=1e-12)
         assert fig["augmented_time"] < fig["baseline_time"]
 
     def test_no_headroom_never_convenient(self):
-        got, binding = verdict(0.38, 100, 1.0, 300.0, 0.38, 0.95, 10.0, min_extra_ratio(0.95))
+        got, binding = evaluate(0.38, 100, 1.0, 0.95, 0.38, 10.0, 300.0, min_extra_ratio(0.95))
         assert got == VERDICT_NOT_CONVENIENT
         assert "time" in binding
 
     def test_boundary_verdict_at_exact_tie(self):
         dn = min_extra_ratio(VDP_R_M)
         _, tight = max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, dn)
-        assert verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, tight, dn) == (
+        assert evaluate(0.38, 100, 1.0, VDP_R_M, VDP_P_M, tight, 300.0, dn) == (
             VERDICT_BOUNDARY, "throughput+time")
 
     def test_screener_passing_no_good_patch_rejected(self):
@@ -174,22 +169,23 @@ class TestEvaluate:
                 max_model_time(300.0, r_m, VDP_P_M, pi)
             with pytest.raises(MetricsError, match=message):
                 min_validator_time(10.0, r_m, VDP_P_M, pi)
-        # evaluate leaves them to its caller: `simulate` rejects the P_M = 0 of
-        # such a screener before it forms q (test_cli's
-        # test_rejected_before_sampling).  evaluate checks the validator
+        # evaluate leaves R_M and pi to its caller.  It checks P_M, which is 0
+        # for such a screener at the generator's pi (test_cli's
+        # test_rejected_before_sampling), before it forms q, then the validator
         good = dict(pi=0.38, n=100, r_v=1.0, tau_v=300.0, p_m=VDP_P_M, r_m=VDP_R_M, tau_m=10.0,
                     dn_ratio=0.06)
         for field, value, message in [
+            ("p_m", 0.0, "precision must be > 0"),
             ("r_v", 0.0, "validator recall must be > 0"),
             ("tau_v", 0.0, "validator latency must be present and > 0"),
             ("tau_v", -1.0, "validator latency must be present and > 0"),
         ]:
             with pytest.raises(MetricsError, match=message):
-                verdict(**dict(good, **{field: value}))
+                evaluate(**dict(good, **{field: value}))
 
     def test_negative_extra_ratio_rejected(self):
         with pytest.raises(MetricsError, match="dn_ratio must be >= 0, got -0.1"):
-            verdict(0.38, 100, 1.0, 300.0, VDP_P_M, VDP_R_M, 10.0, -0.1)
+            evaluate(0.38, 100, 1.0, VDP_R_M, VDP_P_M, 10.0, 300.0, -0.1)
         with pytest.raises(MetricsError, match="dn_ratio must be >= 0, got -0.1"):
             max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, -0.1)
 
@@ -202,7 +198,7 @@ class TestEvaluate:
     def test_overflowed_figures_rejected(self):
         # both times overflow to inf and would tie as a boundary
         with pytest.raises(MetricsError, match="not a finite number"):
-            verdict(0.38, 100, 1.0, 1e308, VDP_P_M, VDP_R_M, 1e308, 0.06)
+            evaluate(0.38, 100, 1.0, VDP_R_M, VDP_P_M, 1e308, 1e308, 0.06)
 
     def test_boundary_identity_random_configs(self):
         # at dn = 1/R_M - 1 and tau_M at the tight budget both requirements
@@ -222,4 +218,4 @@ class TestEvaluate:
             fig = figures(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn)
             assert fig["augmented_tp"] == pytest.approx(fig["baseline_tp"], rel=1e-9)
             assert fig["augmented_time"] == pytest.approx(fig["baseline_time"], rel=1e-9)
-            assert verdict(pi, n, r_v, tau_v, p_m, r_m, tau_m, dn)[0] == VERDICT_BOUNDARY
+            assert evaluate(pi, n, r_v, r_m, p_m, tau_m, tau_v, dn)[0] == VERDICT_BOUNDARY

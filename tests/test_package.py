@@ -46,7 +46,7 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
 
 def test_cli_import_loads_numpy_but_no_thread_pool_and_leaves_environ_alone():
     # numpy still loads eagerly: the benchmark's traced run (perfbench/run.py
-    # import_layer) requires it until ROADMAP item 4(b) lands; item 6 flips this
+    # import_layer) requires it until ROADMAP item 2(b) lands; item 6 flips this
     probe = (
         "import os, sys, pipegate.cli; print('numpy' in sys.modules, "
         "'concurrent.futures' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)"
