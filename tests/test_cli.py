@@ -242,31 +242,26 @@ class TestLimits:
         assert rows[0] == ["model", "q25", "median", "q75", "mean"]
         assert len(rows) == 8
 
-    @pytest.mark.parametrize("quartiles", [(1, 2, 3), (5, 5, 5)], ids=["rising", "equal"])
-    def test_benchmark_from_file(self, capsys, tmp_path, quartiles):
-        q25, median, q75 = quartiles
-        doc = {
-            "models": [],
-            "benchmark": {"q25": q25, "median": median, "q75": q75, "mean": 4,
-                          "prevalence": 0.38},
-        }
+    def test_benchmark_from_file(self, capsys, tmp_path):
         path = tmp_path / "bm.json"
-        path.write_text(json.dumps(doc))
-        code, parsed, _ = run_json(capsys, "limits", "--benchmark", str(path))
-        assert code == 0
-        assert parsed["inputs"]["benchmark"]["q25"] == q25
+        for q25, median, q75 in ((1, 2, 3), (5, 5, 5)):  # equal quartiles are valid
+            path.write_text(json.dumps({"models": [], "benchmark": {
+                "q25": q25, "median": median, "q75": q75, "mean": 4, "prevalence": 0.38}}))
+            code, parsed, _ = run_json(capsys, "limits", "--benchmark", str(path))
+            assert code == 0
+            assert parsed["inputs"]["benchmark"]["q25"] == q25
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("prevalence", 1.0, "prevalence must be in (0, 1)"),
-        ("prevalence", 0.0, "prevalence must be in (0, 1)"),
-        ("q25", 0, "quartiles must satisfy 0 < q25 <= median <= q75"),
-    ])
-    def test_bad_benchmark_names_file_and_section(self, capsys, tmp_path, field, value, message):
+    def test_bad_benchmark_names_file_and_section(self, capsys, tmp_path):
         path = tmp_path / "bench.json"
-        bench = {"q25": 1, "median": 2, "q75": 3, "mean": 4, "prevalence": 0.38, field: value}
-        path.write_text(json.dumps({"benchmark": bench}))
-        got = run_cli(capsys, "limits", "--benchmark", str(path))
-        assert got == (3, "", f"error: {path}: benchmark: {message}\n")
+        for field, value, message in (
+            ("prevalence", 1.0, "prevalence must be in (0, 1)"),
+            ("prevalence", 0.0, "prevalence must be in (0, 1)"),
+            ("q25", 0, "quartiles must satisfy 0 < q25 <= median <= q75"),
+        ):
+            bench = {"q25": 1, "median": 2, "q75": 3, "mean": 4, "prevalence": 0.38, field: value}
+            path.write_text(json.dumps({"benchmark": bench}))
+            got = run_cli(capsys, "limits", "--benchmark", str(path))
+            assert got == (3, "", f"error: {path}: benchmark: {message}\n"), (field, value)
 
     def test_empty_benchmark_means_builtin(self, capsys, tmp_path, monkeypatch):
         # an empty --benchmark counts as not given, as an empty --catalog does:

@@ -3,20 +3,19 @@
 Usage::
 
     python tools/mutants.py src/pipegate/bounds.py src/pipegate/cli.py
-    python tools/mutants.py src/pipegate/cli.py --timeout 120 --jobs 2
+    python tools/mutants.py src/pipegate/cli.py --timeout 120
 
 Each mutant flips one operator in one of the named modules: ``<``/``<=``,
 ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/`` or ``and``/``or``.  The
 module is rewritten with :func:`ast.unparse`, so an unmutated rewrite of each
 module is run first and must pass.  Every run is ``python -m pytest -x -q
-tests`` in a copy of the tree (one copy per job), never in the tree itself.
-A mutant is *killed* when a test fails, *timeout* when the run outlives
-``--timeout`` seconds, and *survived* when every test passes.  The script
-prints one line per mutant, then the survivors, and exits 1 if any survived.
-
-Two suites at once can fail a timing-sensitive test, so with ``--jobs`` above
-1 a killed mutant may be a false kill: rerun a claimed kill alone.  Standard
-library only; it is not part of the test suite.
+tests`` in a copy of the tree, never in the tree itself, one run at a time:
+two suites at once can fail a timing-sensitive test and so fake a kill.  A
+mutant is *killed* when a test fails (the first failing test is named),
+*timeout* when the run outlives ``--timeout`` seconds, and *survived* when
+every test passes.  The script prints each mutant's outcome, then the
+survivors, and exits 1 if any survived.  Standard library only; it is not
+part of the test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -115,37 +113,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", type=Path, help="module files under the repo")
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
-    parser.add_argument("--jobs", type=int, default=1, help="test runs at once (default 1)")
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     modules = [m.resolve() for m in args.modules]
     work = [(m, label, src) for m in modules for label, src in _mutants(m)]
     print(f"{len(work)} mutants in {len(modules)} module(s)", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        trees = []
-        for j in range(args.jobs):
-            trees.append(Path(tmp) / f"tree{j}")
-            shutil.copytree(ROOT, trees[-1], ignore=IGNORE)
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
         for m in modules:  # the rewrite alone must fail nothing
-            status = _run(m, ast.unparse(ast.parse(m.read_text())), trees[0], args.timeout)
+            status = _run(m, ast.unparse(ast.parse(m.read_text())), tree, args.timeout)
             if status != "survived":
                 print(f"unmutated rewrite of {m.relative_to(ROOT)}: {status}; stopping")
                 return 2
+        kinds = []
+        for m, label, src in work:
+            status = _run(m, src, tree, args.timeout)
+            print(f"{label}\n    {status}", flush=True)
+            kinds.append(status.split()[0])
 
-        status = [""] * len(work)
-
-        def job(j: int) -> None:
-            for i in range(j, len(work), args.jobs):
-                m, label, src = work[i]
-                status[i] = _run(m, src, trees[j], args.timeout)
-                print(f"{label}\n    {status[i]}", flush=True)
-
-        with ThreadPoolExecutor(args.jobs) as pool:
-            list(pool.map(job, range(args.jobs)))  # re-raises a job's error
-
-    kinds = [s.split()[0] for s in status]
     survivors = [label for (_, label, _), kind in zip(work, kinds) if kind == "survived"]
     print(f"\n{len(work)} mutants: {kinds.count('killed')} killed, "
           f"{kinds.count('timeout')} timed out, {len(survivors)} survived")
