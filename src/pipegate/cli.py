@@ -268,8 +268,10 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
 
     met._check_unit("pi", pi, lo_open=True, hi_open=True)  # pi >= 1 is out of range, not headroom
     if p_m <= pi:
-        raise CliError(EXIT_INVALID,
-                       f"no precision headroom: screener precision {p_m:.4g} <= pi {pi}")
+        raise CliError(
+            EXIT_INVALID,
+            f"no precision headroom: screener precision {p_m:.4g} <= pi {pi}",
+        )
     if tau_m is not None:
         floor = bnd.min_validator_time(tau_m, r_m, p_m, pi)
         out["results"]["min_validator_time_seconds"] = _tagged(floor, "derived")

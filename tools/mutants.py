@@ -3,7 +3,6 @@
 Usage::
 
     python tools/mutants.py src/pipegate/bounds.py src/pipegate/cli.py
-    python tools/mutants.py src/pipegate/cli.py --timeout 120
 
 Each mutant flips one operator in one of the named modules: ``<``/``<=``,
 ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/`` or ``and``/``or``.  The
@@ -12,7 +11,7 @@ module is run first and must pass.  Every run is ``python -m pytest -x -q
 tests`` in a copy of the tree, never in the tree itself, one run at a time:
 two suites at once can fail a timing-sensitive test and so fake a kill.  A
 mutant is *killed* when a test fails (the first failing test is named),
-*timeout* when the run outlives ``--timeout`` seconds, and *survived* when
+*timeout* when the run outlives ``TIMEOUT`` seconds, and *survived* when
 every test passes.  The script prints each mutant's outcome, then the
 survivors, and exits 1 if any survived.  Standard library only; it is not
 part of the test suite.
@@ -40,6 +39,7 @@ SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.And: "and", ast.Or: "or",
 }
+TIMEOUT = 300.0  # seconds per test run; the suite takes about 20 s
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".work")
 
 
@@ -77,7 +77,7 @@ def _mutants(module: Path) -> list[tuple[str, str]]:
     return out
 
 
-def _run_tests(tree: Path, timeout: float) -> str:
+def _run_tests(tree: Path) -> str:
     """``survived``, ``timeout``, or ``killed`` with the first failing test's id."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
@@ -86,7 +86,7 @@ def _run_tests(tree: Path, timeout: float) -> str:
         start_new_session=True,  # so a timeout also ends any process the tests started
     )
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -98,13 +98,13 @@ def _run_tests(tree: Path, timeout: float) -> str:
     return f"killed by {failed[0]}" if failed else "killed"
 
 
-def _run(module: Path, source: str, tree: Path, timeout: float) -> str:
+def _run(module: Path, source: str, tree: Path) -> str:
     """Test ``tree`` with ``module``'s copy replaced by ``source``, then restore it."""
     target = tree / module.relative_to(ROOT)
     original = target.read_text()
     target.write_text(source)
     try:
-        return _run_tests(tree, timeout)
+        return _run_tests(tree)
     finally:
         target.write_text(original)
 
@@ -112,7 +112,6 @@ def _run(module: Path, source: str, tree: Path, timeout: float) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+", type=Path, help="module files under the repo")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run")
     args = parser.parse_args(argv)
     modules = [m.resolve() for m in args.modules]
     work = [(m, label, src) for m in modules for label, src in _mutants(m)]
@@ -122,13 +121,13 @@ def main(argv: list[str] | None = None) -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         for m in modules:  # the rewrite alone must fail nothing
-            status = _run(m, ast.unparse(ast.parse(m.read_text())), tree, args.timeout)
+            status = _run(m, ast.unparse(ast.parse(m.read_text())), tree)
             if status != "survived":
                 print(f"unmutated rewrite of {m.relative_to(ROOT)}: {status}; stopping")
                 return 2
         kinds = []
         for m, label, src in work:
-            status = _run(m, src, tree, args.timeout)
+            status = _run(m, src, tree)
             print(f"{label}\n    {status}", flush=True)
             kinds.append(status.split()[0])
 
