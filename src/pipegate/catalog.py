@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from pipegate.metrics import ClassifierSpec, MetricsError, bayes_fpr
+from pipegate.metrics import MetricsError, _check_unit, bayes_fpr
 
 __all__ = [
     "CatalogError",
@@ -52,13 +52,30 @@ class CatalogError(Exception):
 
 @dataclass(frozen=True)
 class ModelRecord:
-    """One detector row: published spec plus provenance of derived fields."""
+    """One detector row: its published figures and where each derived one came from.
+
+    ``latency`` is None when the row has none.  Construction checks ranges
+    only; :func:`pipegate.metrics.consistency_gap` measures how far the
+    figures disagree with each other.
+    """
 
     name: str
     source: str
-    spec: ClassifierSpec
+    precision: float
+    recall: float
+    fpr: float
+    latency: float | None
+    eval_prevalence: float
     fpr_provenance: str
     latency_provenance: str
+
+    def __post_init__(self) -> None:
+        _check_unit("precision", self.precision, lo_open=True)
+        _check_unit("recall", self.recall)
+        _check_unit("fpr", self.fpr)
+        if self.latency is not None and self.latency < 0:
+            raise MetricsError(f"latency must be >= 0, got {self.latency}")
+        _check_unit("eval_prevalence", self.eval_prevalence, lo_open=True, hi_open=True)
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,7 @@ def builtin_catalog() -> Catalog:
     Starred (bayes-estimated) FPRs are stored at their published rounding so
     that planning output matches the published analysis exactly.
     """
-    rows = [
+    rows = [  # in ModelRecord's field order
         ("VulDeePecker", "Li et al. 2018", 0.87, 0.84, 0.05, 156.0, 0.29,
          FPR_REPORTED, LATENCY_REPORTED),
         ("VulDeePecker on ReVeal", "Chakraborty et al. 2021", 0.11, 0.14, 0.11, 156.0, 0.09,
@@ -131,19 +148,7 @@ def builtin_catalog() -> Catalog:
         ("CodeJIT RGCN", "Nguyen et al. 2024", 0.78, 0.70, 0.20, 1.42, 0.5,
          FPR_BAYES, LATENCY_LOWER_BOUND),
     ]
-    records = tuple(
-        ModelRecord(
-            name=name,
-            source=source,
-            spec=ClassifierSpec(
-                precision=p, recall=r, fpr=fpr, latency=lat, eval_prevalence=pi
-            ),
-            fpr_provenance=fprov,
-            latency_provenance=lprov,
-        )
-        for name, source, p, r, fpr, lat, pi, fprov, lprov in rows
-    )
-    return Catalog(models=records, benchmark=builtin_benchmark())
+    return Catalog(models=tuple(ModelRecord(*row) for row in rows), benchmark=builtin_benchmark())
 
 
 def builtin_benchmark() -> BenchmarkTimes:
@@ -230,19 +235,10 @@ def _parse_model(obj: dict, index: int) -> ModelRecord:
     try:
         if fpr is None:
             fpr = bayes_fpr(precision, recall, prevalence)
-        spec = ClassifierSpec(
-            precision=precision,
-            recall=recall,
-            fpr=fpr,
-            latency=latency,
-            eval_prevalence=prevalence,
-        )
         return ModelRecord(
-            name=name,
-            source=str(obj.get("source", "")),
-            spec=spec,
-            fpr_provenance=fpr_provenance,
-            latency_provenance=latency_provenance,
+            name=name, source=str(obj.get("source", "")), precision=precision, recall=recall,
+            fpr=fpr, latency=latency, eval_prevalence=prevalence,
+            fpr_provenance=fpr_provenance, latency_provenance=latency_provenance,
         )
     except MetricsError as exc:
         raise CatalogError(f"{context} ({name}): {exc}") from exc

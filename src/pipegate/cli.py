@@ -188,12 +188,20 @@ def _consistency_warnings(records) -> list[str]:
     """One line per model whose published rates disagree beyond rounding."""
     lines = []
     for r in records:
-        gap = r.spec.consistency_gap()
+        gap = met.consistency_gap(r.precision, r.recall, r.fpr, r.eval_prevalence)
         if gap is not None and gap > met.EPS_CONSISTENCY:
-            lines.append(f"{r.name}: precision {r.spec.precision} disagrees with the value implied "
-                         f"by (recall={r.spec.recall}, fpr={r.spec.fpr}, prevalence="
-                         f"{r.spec.eval_prevalence}) by {gap:.4f} (> {met.EPS_CONSISTENCY})")
+            lines.append(f"{r.name}: precision {r.precision} disagrees with the value implied "
+                         f"by (recall={r.recall}, fpr={r.fpr}, prevalence="
+                         f"{r.eval_prevalence}) by {gap:.4f} (> {met.EPS_CONSISTENCY})")
     return lines
+
+
+def _invert(record: cat.ModelRecord) -> tuple[float, float, float]:
+    """The row's screener ``(P_M, R_M, F_M)``; an error names the row."""
+    try:
+        return met.invert_detector(record.precision, record.recall, record.fpr)
+    except met.MetricsError as exc:
+        raise met.MetricsError(f"{record.name}: {exc}") from exc
 
 
 def _screener(record: cat.ModelRecord, tau_m: float | None, tpr_m: float | None = None,
@@ -205,28 +213,27 @@ def _screener(record: cat.ModelRecord, tau_m: float | None, tpr_m: float | None 
     the row's latency (None when it has none), which warns as optimistic
     when it is a published lower bound.
     """
-    scr = met.invert_detector(record.spec)
+    p_m, r_m, f_m = _invert(record)
     lines = []
     if tau_m is None:
-        tau_m = scr.latency
+        tau_m = record.latency
         if record.latency_provenance == cat.LATENCY_LOWER_BOUND:
             lines.append(OPTIMISTIC_LATENCY)
-    p_m = scr.precision if tpr_m is None and fpr_m is None else None
-    r_m = scr.recall if tpr_m is None else tpr_m
-    f_m = scr.fpr if fpr_m is None else fpr_m
+    p_m = p_m if tpr_m is None and fpr_m is None else None
+    r_m = r_m if tpr_m is None else tpr_m
+    f_m = f_m if fpr_m is None else fpr_m
     return (r_m, f_m, p_m, tau_m), lines + _consistency_warnings([record])
 
 
 def _detector_inputs(record: cat.ModelRecord) -> dict:
-    spec = record.spec
     return {
         "model": record.name,
         "source": record.source,
-        "detector_precision": _tagged(spec.precision, cat.FPR_REPORTED),
-        "detector_recall": _tagged(spec.recall, cat.FPR_REPORTED),
-        "detector_fpr": _tagged(spec.fpr, record.fpr_provenance),
-        "detector_latency_seconds": _tagged(spec.latency, record.latency_provenance),
-        "eval_prevalence": _tagged(spec.eval_prevalence, cat.FPR_REPORTED),
+        "detector_precision": _tagged(record.precision, cat.FPR_REPORTED),
+        "detector_recall": _tagged(record.recall, cat.FPR_REPORTED),
+        "detector_fpr": _tagged(record.fpr, record.fpr_provenance),
+        "detector_latency_seconds": _tagged(record.latency, record.latency_provenance),
+        "eval_prevalence": _tagged(record.eval_prevalence, cat.FPR_REPORTED),
     }
 
 
@@ -234,16 +241,16 @@ def _detector_inputs(record: cat.ModelRecord) -> dict:
 
 def cmd_invert(args: argparse.Namespace) -> tuple[dict, int]:
     record = _resolve_model(args)
-    scr = met.invert_detector(record.spec)
+    p_m, r_m, f_m = _invert(record)
     inputs = _detector_inputs(record)
     results = {
-        "screener_precision": _tagged(scr.precision, "derived"),
-        "screener_recall": _tagged(scr.recall, "derived"),
-        "screener_fpr": _tagged(scr.fpr, "derived"),
+        "screener_precision": _tagged(p_m, "derived"),
+        "screener_recall": _tagged(r_m, "derived"),
+        "screener_fpr": _tagged(f_m, "derived"),
     }
     if args.pi is not None:
         results["screener_precision_at_pi"] = _tagged(
-            met.precision_at_prevalence(scr.recall, scr.fpr, args.pi), "derived"
+            met.precision_at_prevalence(r_m, f_m, args.pi), "derived"
         )
         inputs["pi"] = args.pi
     return _record("invert", inputs=inputs, results=results,
@@ -296,8 +303,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
 def _time_limits(catalog: cat.Catalog, benchmark: cat.BenchmarkTimes, pi: float):
     """Yield (model record, {benchmark column: relaxed screener-time budget})."""
     for record in catalog.models:
-        scr = met.invert_detector(record.spec)
-        yield record, {stat: bnd.max_model_time(tau_v, scr.recall, scr.precision, pi)[0]
+        p_m, r_m, _ = _invert(record)
+        yield record, {stat: bnd.max_model_time(tau_v, r_m, p_m, pi)[0]
                        for stat, tau_v in benchmark.as_columns().items()}
 
 
@@ -438,20 +445,19 @@ def _reproduce_rows() -> list[list]:
     for record in catalog.models:
         if record.fpr_provenance != cat.FPR_BAYES:
             continue
-        spec = record.spec
-        computed = met.bayes_fpr(spec.precision, spec.recall, spec.eval_prevalence)
-        rows.append(_check_row("bayes_fpr", record.name, spec.fpr, computed,
-                               abs(computed - spec.fpr), 0.005))
+        computed = met.bayes_fpr(record.precision, record.recall, record.eval_prevalence)
+        rows.append(_check_row("bayes_fpr", record.name, record.fpr, computed,
+                               abs(computed - record.fpr), 0.005))
 
     pi = benchmark.prevalence
     for name, published in cat.PUBLISHED_PLANNING.items():
         record = catalog.lookup(name)
-        scr = met.invert_detector(record.spec)
-        minutes = bnd.min_validator_time(record.spec.latency, scr.recall, scr.precision, pi) / 60.0
+        p_m, r_m, _ = _invert(record)
+        minutes = bnd.min_validator_time(record.latency, r_m, p_m, pi) / 60.0
         want = published["min_validator_minutes"]
         rows.append(_check_row("fixed_model", f"{name} min validator (min)", want, minutes,
                                abs(minutes - want) / want, 0.03))
-        ratio = bnd.min_extra_ratio(scr.recall)
+        ratio = bnd.min_extra_ratio(r_m)
         want = published["min_extra_ratio"]
         # absolute tolerance in ratio units: 0.05 pp for the primary row,
         # 1 pp for the ReVeal row whose published figure is unexplained

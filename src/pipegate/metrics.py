@@ -15,13 +15,11 @@ and the three rates derived from them.  Two less common pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "MetricsError",
-    "ClassifierSpec",
     "EPS_CONSISTENCY",
     "bayes_fpr",
+    "consistency_gap",
     "invert_detector_precision",
     "pass_rate",
     "precision_at_prevalence",
@@ -46,48 +44,6 @@ def _check_unit(name: str, value: float, lo_open: bool = False, hi_open: bool = 
         raise MetricsError(f"{name} must be < 1, got {value}")
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
-    """Published performance figures for one binary classifier.
-
-    ``fpr``, ``latency`` and ``eval_prevalence`` may be absent (None); a
-    missing FPR can be reconstructed with :func:`bayes_fpr` when the
-    evaluation prevalence is known.  Construction checks ranges only:
-    published rows rounded to two decimals routinely fail an exact
-    consistency check, so :meth:`consistency_gap` measures the disagreement
-    and the caller decides whether it exceeds ``EPS_CONSISTENCY``.
-    """
-
-    precision: float
-    recall: float
-    fpr: float | None = None
-    latency: float | None = None
-    eval_prevalence: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_unit("precision", self.precision, lo_open=True)
-        _check_unit("recall", self.recall)
-        if self.fpr is not None:
-            _check_unit("fpr", self.fpr)
-        if self.latency is not None and self.latency < 0:
-            raise MetricsError(f"latency must be >= 0, got {self.latency}")
-        if self.eval_prevalence is not None:
-            _check_unit("eval_prevalence", self.eval_prevalence, lo_open=True, hi_open=True)
-
-    def consistency_gap(self) -> float | None:
-        """|published precision - precision implied by (R, FPR, prevalence)|.
-
-        None when any of fpr / eval_prevalence is absent or the implied
-        precision is undefined (classifier that passes nothing).
-        """
-        if self.fpr is None or self.eval_prevalence is None:
-            return None
-        pi = self.eval_prevalence
-        if pass_rate(self.recall, self.fpr, pi) == 0:
-            return None
-        return abs(self.precision - precision_at_prevalence(self.recall, self.fpr, pi))
-
-
 def bayes_fpr(precision: float, recall: float, pi: float) -> float:
     """Reconstruct the FPR implied by precision, recall and prevalence.
 
@@ -101,6 +57,19 @@ def bayes_fpr(precision: float, recall: float, pi: float) -> float:
     if precision == 1.0:
         return 0.0
     return pi * recall * (1 - precision) / (precision * (1 - pi))
+
+
+def consistency_gap(precision: float, recall: float, fpr: float, pi: float) -> float | None:
+    """|published precision - precision implied by (R, FPR, prevalence)|.
+
+    Published rows are rounded to two decimals and routinely fail an exact
+    check, so the caller decides whether the gap exceeds ``EPS_CONSISTENCY``.
+    None when the implied precision is undefined (a classifier that passes
+    nothing).
+    """
+    if pass_rate(recall, fpr, pi) == 0:
+        return None
+    return abs(precision - precision_at_prevalence(recall, fpr, pi))
 
 
 def invert_detector_precision(p_mvd: float, r_mvd: float, far_mvd: float) -> float:
@@ -146,19 +115,12 @@ def precision_at_prevalence(tpr: float, fpr: float, pi: float) -> float:
     return pi * tpr / denom
 
 
-def invert_detector(detector: ClassifierSpec) -> ClassifierSpec:
-    """The screener a detector becomes when used in reverse.
+def invert_detector(precision: float, recall: float, fpr: float) -> tuple[float, float, float]:
+    """The screener a detector becomes when used in reverse: ``(P_M, R_M, F_M)``.
 
-    Precision is the as-published :func:`invert_detector_precision`, recall
-    is 1 - detector FPR, FPR is 1 - detector recall, and the latency carries
-    over.  Requires the detector FPR to be present (reconstruct it first
-    with :func:`bayes_fpr` if needed).
+    P_M is the as-published :func:`invert_detector_precision`, R_M is
+    1 - detector FPR and F_M is 1 - detector recall.
     """
-    if detector.fpr is None:
-        raise MetricsError("detector fpr is required; complete it via bayes_fpr first")
-    return ClassifierSpec(
-        precision=invert_detector_precision(detector.precision, detector.recall, detector.fpr),
-        recall=1.0 - detector.fpr,
-        fpr=1.0 - detector.recall,
-        latency=detector.latency,
-    )
+    p_m = invert_detector_precision(precision, recall, fpr)
+    _check_unit("precision", p_m, lo_open=True)  # a subnormal recall can overflow the ratio
+    return p_m, 1.0 - fpr, 1.0 - recall

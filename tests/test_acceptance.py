@@ -65,8 +65,8 @@ def test_criterion_1_bayes_fpr_reproduction():
         catalog = cat.builtin_catalog()
         errors = {}
         for name, published in expected.items():
-            spec = catalog.lookup(name).spec
-            computed = met.bayes_fpr(spec.precision, spec.recall, spec.eval_prevalence)
+            rec = catalog.lookup(name)
+            computed = met.bayes_fpr(rec.precision, rec.recall, rec.eval_prevalence)
             errors[name] = abs(computed - published)
         ok = all(err <= 0.005 for err in errors.values())
     report(1, "starred FPRs within 0.005", ok)
@@ -81,10 +81,11 @@ def test_criterion_2_fixed_model_reproduction():
             ("VulDeePecker", 4.56, 0.0005),
             ("VulDeePecker on ReVeal", 5.07, 0.01),
         ):
-            scr = met.invert_detector(catalog.lookup(name).spec)
-            floor = bnd.min_validator_time(156.0, scr.recall, scr.precision, PI_PLANNING)
+            rec = catalog.lookup(name)
+            p_m, r_m, _ = met.invert_detector(rec.precision, rec.recall, rec.fpr)
+            floor = bnd.min_validator_time(156.0, r_m, p_m, PI_PLANNING)
             results[f"{name} minutes"] = (floor / 60, published_min)
-            results[f"{name} ratio"] = (bnd.min_extra_ratio(scr.recall), tol_ratio_pp)
+            results[f"{name} ratio"] = (bnd.min_extra_ratio(r_m), tol_ratio_pp)
 
         vdp_min, _ = results["VulDeePecker minutes"]
         rev_min, _ = results["VulDeePecker on ReVeal minutes"]
@@ -99,10 +100,9 @@ def test_criterion_2_fixed_model_reproduction():
     assert ok, results
 
 
-def _verdict_at(scr, tau_v: float, tau_m: float) -> tuple[str, str | None]:
-    """Convenience check of screener ``scr`` at latency tau_m, minimum extra volume."""
-    return bnd.evaluate(PI_PLANNING, 1.0, 1.0, scr.recall, scr.precision, tau_m, tau_v,
-                        bnd.min_extra_ratio(scr.recall))
+def _verdict_at(p_m: float, r_m: float, tau_v: float, tau_m: float) -> tuple[str, str | None]:
+    """Convenience check of screener (P_M, R_M) at latency tau_m, minimum extra volume."""
+    return bnd.evaluate(PI_PLANNING, 1.0, 1.0, r_m, p_m, tau_m, tau_v, bnd.min_extra_ratio(r_m))
 
 
 def test_criterion_3_time_limit_grid():
@@ -112,12 +112,10 @@ def test_criterion_3_time_limit_grid():
         out_of_tolerance = []
         off_boundary = []
         for record in catalog.models:
-            scr = met.invert_detector(record.spec)
+            p_m, r_m, _ = met.invert_detector(record.precision, record.recall, record.fpr)
             for stat, tau_v in benchmark.as_columns().items():
                 # the published cells are the relaxed bound at P_M = R_M
-                as_published, _ = bnd.max_model_time(
-                    tau_v, scr.recall, scr.recall, PI_PLANNING
-                )
+                as_published, _ = bnd.max_model_time(tau_v, r_m, r_m, PI_PLANNING)
                 published = cat.PUBLISHED_TIME_LIMITS[record.name][stat]
                 rel = abs(as_published - published) / published
                 if rel > 0.05:
@@ -125,20 +123,19 @@ def test_criterion_3_time_limit_grid():
                         (record.name, stat, published, as_published, rel)
                     )
                 # the bound at the row's own P_M is the break-even budget
-                printed, _ = bnd.max_model_time(
-                    tau_v, scr.recall, scr.precision, PI_PLANNING
-                )
-                verdict, _ = _verdict_at(scr, tau_v, printed)
+                printed, _ = bnd.max_model_time(tau_v, r_m, p_m, PI_PLANNING)
+                verdict, _ = _verdict_at(p_m, r_m, tau_v, printed)
                 if verdict != bnd.VERDICT_BOUNDARY:
                     off_boundary.append((record.name, stat, printed, verdict))
 
         # the gap: CodeJIT RGCN has P_M < R_M, so its published cells are
         # above the break-even budget and overrun the baseline time
-        rgcn = met.invert_detector(catalog.lookup("CodeJIT RGCN").spec)
+        rgcn = catalog.lookup("CodeJIT RGCN")
+        rgcn_p_m, rgcn_r_m, _ = met.invert_detector(rgcn.precision, rgcn.recall, rgcn.fpr)
         gap_not_shown = []
         for stat, tau_v in benchmark.as_columns().items():
             published = cat.PUBLISHED_TIME_LIMITS["CodeJIT RGCN"][stat]
-            verdict, binding = _verdict_at(rgcn, tau_v, published)
+            verdict, binding = _verdict_at(rgcn_p_m, rgcn_r_m, tau_v, published)
             if (verdict, binding) != (bnd.VERDICT_NOT_CONVENIENT, "time"):
                 gap_not_shown.append((stat, published, verdict, binding))
         ok = not (out_of_tolerance or off_boundary or gap_not_shown)
@@ -184,18 +181,18 @@ def test_criterion_5_oracle_equivalence():
         mismatches = []
         verdict_checks = 0
         for record in catalog.models:
-            scr = met.invert_detector(record.spec)
-            tau_m = record.spec.latency if record.spec.latency is not None else 0.0
+            _, r_m, f_m = met.invert_detector(record.precision, record.recall, record.fpr)
+            tau_m = record.latency if record.latency is not None else 0.0
             # dn strictly above the throughput boundary so the TP margin is
             # resolvable and the verdict comparison is meaningful
-            dn_ratio = bnd.min_extra_ratio(scr.recall) + 0.05
+            dn_ratio = bnd.min_extra_ratio(r_m) + 0.05
             dn = int(round(n * dn_ratio))
             cfg = sim.SimConfig(
                 pi=PI_PLANNING,
                 n=n,
                 delta_n=dn,
-                tpr_m=scr.recall,
-                fpr_m=scr.fpr,
+                tpr_m=r_m,
+                fpr_m=f_m,
                 tau_m=tau_m,
                 tau_v=tau_v,
                 trials=trials,
@@ -203,10 +200,10 @@ def test_criterion_5_oracle_equivalence():
             )
             stats, empirical, _ = sim.compare(cfg)
             m = cfg.n_total
-            rate = PI_PLANNING * scr.recall + (1 - PI_PLANNING) * scr.fpr
+            rate = PI_PLANNING * r_m + (1 - PI_PLANNING) * f_m
             expected = {
                 "baseline_tp": PI_PLANNING * n,
-                "augmented_tp": scr.recall * PI_PLANNING * m,
+                "augmented_tp": r_m * PI_PLANNING * m,
                 "baseline_time": n * tau_v,
                 "augmented_time": tau_m * m + tau_v * rate * m,
                 "survivors": rate * m,
@@ -221,8 +218,8 @@ def test_criterion_5_oracle_equivalence():
                     mismatches.append((record.name, key, stat.mean, value, stat.se))
 
             # analytic verdict via the prevalence-consistent closed forms
-            p_cons = met.precision_at_prevalence(scr.recall, scr.fpr, PI_PLANNING)
-            analytic, _ = bnd.evaluate(PI_PLANNING, float(n), 1.0, scr.recall, p_cons, tau_m,
+            p_cons = met.precision_at_prevalence(r_m, f_m, PI_PLANNING)
+            analytic, _ = bnd.evaluate(PI_PLANNING, float(n), 1.0, r_m, p_cons, tau_m,
                                        tau_v, dn / n)
             # its margins are the reference figures: (R_M/P_cons)*pi is the pass rate
             tp_margin = abs(expected["augmented_tp"] - expected["baseline_tp"])

@@ -107,6 +107,24 @@ def catalog_files(tmp_path_factory):
     return paths
 
 
+@pytest.mark.parametrize("kind,message", [
+    ("fpr-one", "Gen: far_mvd must be < 1, got 1.0"),
+    ("zero-recall", "Gen: detector recall must be > 0 when FPR > 0"),
+    ("perfect-precision", "Gen 2: inconsistent detector spec: perfect precision with nonzero FPR"),
+], ids=["fpr-one", "zero-recall", "perfect-precision"])
+@pytest.mark.parametrize("argv", [
+    ["invert", "--model={}"],
+    ["bounds", "--model={}", "--pi=0.38", "--tau-v=27.04"],
+    ["limits"],
+], ids=["invert", "bounds", "limits"])
+def test_inversion_error_names_the_row(catalog_files, capsys, kind, message, argv):
+    # a row that loads but gives no screener fails every command that inverts it
+    name = message.split(":")[0]
+    argv = [a.format(name) for a in argv] + [f"--catalog={catalog_files[kind]}"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # the only exit-3 messages that may follow sampling
 AFTER_SAMPLING = (f"error: {sim.NOTHING_SURVIVES}\n",
                   "error: a result is not a finite number; inputs too large\n")

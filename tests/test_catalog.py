@@ -28,22 +28,22 @@ class TestBuiltin:
     def test_row_values(self):
         catalog = builtin_catalog()
         linevul = catalog.lookup("LineVul")
-        assert linevul.spec.precision == 0.97
-        assert linevul.spec.recall == 0.86
-        assert linevul.spec.latency is None
+        assert linevul.precision == 0.97
+        assert linevul.recall == 0.86
+        assert linevul.latency is None
         assert linevul.latency_provenance == LATENCY_UNKNOWN
         vdp = catalog.lookup("VulDeePecker")
-        assert vdp.spec.latency == 156.0
+        assert vdp.latency == 156.0
         assert vdp.latency_provenance == LATENCY_REPORTED
         assert vdp.fpr_provenance == FPR_REPORTED
         fast = catalog.lookup("CodeJIT FastRGCN")
-        assert fast.spec.fpr == 0.22
+        assert fast.fpr == 0.22
         assert fast.fpr_provenance == FPR_REPORTED
         assert fast.latency_provenance == LATENCY_LOWER_BOUND
 
     def test_lookup_case_insensitive(self):
         catalog = builtin_catalog()
-        assert catalog.lookup("VulDeePecker on Reveal").spec.fpr == 0.11
+        assert catalog.lookup("VulDeePecker on Reveal").fpr == 0.11
         assert catalog.lookup("NoSuchModel") is None
 
     def test_benchmark(self):
@@ -61,8 +61,8 @@ class TestBuiltin:
         starred = [r for r in catalog.models if r.fpr_provenance == FPR_BAYES]
         assert len(starred) == 5
         for rec in starred:
-            implied = bayes_fpr(rec.spec.precision, rec.spec.recall, rec.spec.eval_prevalence)
-            assert abs(implied - rec.spec.fpr) <= 0.005, rec.name
+            implied = bayes_fpr(rec.precision, rec.recall, rec.eval_prevalence)
+            assert abs(implied - rec.fpr) <= 0.005, rec.name
 
 
 VALID_DOC = {
@@ -77,6 +77,7 @@ VALID_DOC = {
     ],
     "benchmark": {"q25": 9.17, "median": 27.04, "q75": 74.5, "mean": 337.83, "prevalence": 0.38},
 }
+GEN = {"name": "Gen", "precision": 0.9, "recall": 0.8, "prevalence": 0.3}
 
 
 def write_doc(tmp_path, doc, name="catalog.json"):
@@ -92,14 +93,14 @@ def serialize_catalog(catalog: Catalog) -> dict:
         obj: dict = {
             "name": rec.name,
             "source": rec.source,
-            "precision": rec.spec.precision,
-            "recall": rec.spec.recall,
-            "prevalence": rec.spec.eval_prevalence,
+            "precision": rec.precision,
+            "recall": rec.recall,
+            "prevalence": rec.eval_prevalence,
         }
-        if rec.fpr_provenance == FPR_REPORTED and rec.spec.fpr is not None:
-            obj["fpr"] = rec.spec.fpr
-        if rec.spec.latency is not None:
-            obj["latency_seconds"] = rec.spec.latency
+        if rec.fpr_provenance == FPR_REPORTED:
+            obj["fpr"] = rec.fpr
+        if rec.latency is not None:
+            obj["latency_seconds"] = rec.latency
             obj["latency_kind"] = (
                 "lower_bound" if rec.latency_provenance == LATENCY_LOWER_BOUND else "reported"
             )
@@ -119,7 +120,7 @@ class TestLoadCatalog:
         catalog = load_catalog(write_doc(tmp_path, VALID_DOC))
         rec = catalog.lookup("LineVul")
         assert rec.fpr_provenance == FPR_BAYES
-        assert rec.spec.fpr == pytest.approx(0.0016977, abs=1e-6)
+        assert rec.fpr == pytest.approx(0.0016977, abs=1e-6)
         assert catalog.benchmark.prevalence == 0.38
 
     def test_out_of_range_value_names_field(self, tmp_path):
@@ -180,9 +181,21 @@ class TestLoadCatalog:
          "benchmark: missing field(s) ['mean']"),
         ({"benchmark": dict(VALID_DOC["benchmark"], prevalence=1.0)},
          "benchmark: prevalence must be in (0, 1)"),
+        # a row's range checks, in the order ModelRecord runs them
+        ({"models": [dict(GEN, latency_seconds=-1)]},
+         "models[0] (Gen): latency must be >= 0, got -1.0"),
+        ({"models": [dict(GEN, fpr=1.5)]}, "models[0] (Gen): fpr must be in [0, 1], got 1.5"),
+        ({"models": [dict(GEN, fpr=0.1, prevalence=0)]},
+         "models[0] (Gen): eval_prevalence must be > 0, got 0.0"),
+        ({"models": [dict(GEN, fpr=0.1, prevalence=1)]},
+         "models[0] (Gen): eval_prevalence must be < 1, got 1.0"),
+        # without an FPR, bayes_fpr checks the prevalence first
+        ({"models": [dict(GEN, prevalence=0)]}, "models[0] (Gen): pi must be > 0, got 0.0"),
     ], ids=["not-object", "unknown-top", "models-not-list", "model-not-object", "blank-name",
             "string-number", "bool-number", "duplicate", "benchmark-not-object",
-            "benchmark-unknown", "benchmark-missing", "benchmark-prevalence"])
+            "benchmark-unknown", "benchmark-missing", "benchmark-prevalence",
+            "latency-negative", "fpr-above-one", "prevalence-zero", "prevalence-one",
+            "prevalence-zero-no-fpr"])
     def test_malformed_document_names_file(self, tmp_path, doc, message):
         # a command may read two catalog files; each error says which one
         path = write_doc(tmp_path, doc)

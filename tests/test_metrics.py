@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from pipegate.metrics import (
     EPS_CONSISTENCY,
-    ClassifierSpec,
     MetricsError,
     _check_unit,
     bayes_fpr,
+    consistency_gap,
     invert_detector,
     invert_detector_precision,
     pass_rate,
@@ -136,12 +136,17 @@ class TestDetectorInversion:
 
     def test_recall_and_fpr(self):
         # screener recall is 1 - detector FPR, screener FPR 1 - detector recall
-        assert invert_detector(ClassifierSpec(0.87, 0.84, 0.05)).recall == 0.95
-        assert invert_detector(ClassifierSpec(0.5, 0.7, 0.0)).recall == 1.0
-        assert invert_detector(ClassifierSpec(0.11, 0.14, 0.11)).recall == pytest.approx(0.89)
-        assert invert_detector(ClassifierSpec(0.87, 0.84, 0.05)).fpr == pytest.approx(0.16)
-        assert invert_detector(ClassifierSpec(0.5, 1.0, 0.3)).fpr == 0.0
-        assert invert_detector(ClassifierSpec(0.11, 0.14, 0.11)).fpr == pytest.approx(0.86)
+        assert invert_detector(0.87, 0.84, 0.05)[1] == 0.95
+        assert invert_detector(0.5, 0.7, 0.0)[1] == 1.0
+        assert invert_detector(0.11, 0.14, 0.11)[1] == pytest.approx(0.89)
+        assert invert_detector(0.87, 0.84, 0.05)[2] == pytest.approx(0.16)
+        assert invert_detector(0.5, 1.0, 0.3)[2] == 0.0
+        assert invert_detector(0.11, 0.14, 0.11)[2] == pytest.approx(0.86)
+
+    def test_precision_underflow_rejected(self):
+        # a subnormal recall overflows the ratio, and P_M = 1/(1 + inf) is 0
+        with pytest.raises(MetricsError, match=r"^precision must be > 0, got 0.0$"):
+            invert_detector(0.5, 1e-310, 0.5)
 
     @given(r=rates, far=rates, pi=prevalences, total=st.floats(min_value=1, max_value=1e6))
     @settings(max_examples=300)
@@ -153,9 +158,9 @@ class TestDetectorInversion:
         assert invert_detector_precision(implied_p, r, far) == pytest.approx(
             swapped.precision, abs=1e-12
         )
-        screener = invert_detector(ClassifierSpec(implied_p, r, far))
-        assert screener.recall == pytest.approx(swapped.recall, abs=1e-12)
-        assert screener.fpr == pytest.approx(swapped.fpr, abs=1e-12)
+        _, r_m, f_m = invert_detector(implied_p, r, far)
+        assert r_m == pytest.approx(swapped.recall, abs=1e-12)
+        assert f_m == pytest.approx(swapped.fpr, abs=1e-12)
 
 
 class TestPrecisionAtPrevalence:
@@ -209,39 +214,23 @@ class TestSpecTypes:
         _check_unit("tpr", 0.0)
         _check_unit("fpr", 1.0)
 
-    def test_classifier_spec_ranges(self):
-        with pytest.raises(MetricsError):
-            ClassifierSpec(precision=1.3, recall=0.5)
-        with pytest.raises(MetricsError):
-            ClassifierSpec(precision=0.9, recall=0.5, latency=-1)
-
     def test_consistency_warning(self):
-        # constructs without raising; the caller reports the gap
-        spec = ClassifierSpec(precision=0.9, recall=0.5, fpr=0.5, eval_prevalence=0.5)
-        assert spec.consistency_gap() > EPS_CONSISTENCY
+        # the caller reports the gap
+        assert consistency_gap(0.9, 0.5, 0.5, 0.5) > EPS_CONSISTENCY
 
     def test_consistent_spec_no_warning(self):
-        spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, eval_prevalence=0.29)
-        assert spec.consistency_gap() <= EPS_CONSISTENCY
+        assert consistency_gap(0.87, 0.84, 0.05, 0.29) <= EPS_CONSISTENCY
 
     def test_consistency_gap_undefined(self):
-        # no FPR to imply a precision from, or a classifier that passes nothing
-        assert ClassifierSpec(precision=0.9, recall=0.5, eval_prevalence=0.5).consistency_gap() is None
-        spec = ClassifierSpec(precision=0.9, recall=0.0, fpr=0.0, eval_prevalence=0.5)
-        assert spec.consistency_gap() is None
+        # a classifier that passes nothing implies no precision
+        assert consistency_gap(0.9, 0.0, 0.0, 0.5) is None
 
     def test_screener_rates(self):
-        spec = ClassifierSpec(precision=0.87, recall=0.84, fpr=0.05, latency=156.0)
-        scr = invert_detector(spec)
-        assert scr.precision == pytest.approx(0.9371, abs=5e-5)
-        assert scr.precision == invert_detector_precision(0.87, 0.84, 0.05)
-        assert scr.recall == pytest.approx(0.95)
-        assert scr.fpr == pytest.approx(0.16)
-        assert scr.latency == 156.0
-
-    def test_screener_rates_requires_fpr(self):
-        with pytest.raises(MetricsError):
-            invert_detector(ClassifierSpec(precision=0.87, recall=0.84))
+        p_m, r_m, f_m = invert_detector(0.87, 0.84, 0.05)
+        assert p_m == pytest.approx(0.9371, abs=5e-5)
+        assert p_m == invert_detector_precision(0.87, 0.84, 0.05)
+        assert r_m == pytest.approx(0.95)
+        assert f_m == pytest.approx(0.16)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(MetricsError):
