@@ -20,7 +20,6 @@ __all__ = [
     "EPS_CONSISTENCY",
     "bayes_fpr",
     "consistency_gap",
-    "invert_detector_precision",
     "pass_rate",
     "precision_at_prevalence",
     "invert_detector",
@@ -56,7 +55,8 @@ def bayes_fpr(precision: float, recall: float, pi: float) -> float:
     _check_unit("pi", pi, lo_open=True, hi_open=True)
     if precision == 1.0:
         return 0.0
-    return pi * recall * (1 - precision) / (precision * (1 - pi))
+    den = precision * (1 - pi)  # a subnormal precision can underflow it: the FPR is then inf
+    return pi * recall * (1 - precision) / den if den else float("inf")
 
 
 def consistency_gap(precision: float, recall: float, fpr: float, pi: float) -> float | None:
@@ -70,33 +70,6 @@ def consistency_gap(precision: float, recall: float, fpr: float, pi: float) -> f
     if pass_rate(recall, fpr, pi) == 0:
         return None
     return abs(precision - precision_at_prevalence(recall, fpr, pi))
-
-
-def invert_detector_precision(p_mvd: float, r_mvd: float, far_mvd: float) -> float:
-    """Precision of a vulnerability detector used in reverse as a screener.
-
-    Evaluates, as published, P_M = 1 / (1 + Far*P*(1-R) / ((1-Far)*(1-P)*R))
-    on the detector-side triple.  When the triple is mutually consistent at
-    some prevalence, this equals the precision read off the label-swapped
-    confusion counts at that prevalence.  The published triple is taken at
-    face value even when its components are mutually inconsistent; use
-    :func:`precision_at_prevalence` on the screener rates for the
-    prevalence-consistent alternative.
-    """
-    _check_unit("p_mvd", p_mvd, lo_open=True)
-    _check_unit("r_mvd", r_mvd)
-    _check_unit("far_mvd", far_mvd, hi_open=True)
-    # Degenerate cases route to their closed forms to avoid 0/0.
-    if far_mvd == 0.0 or r_mvd == 1.0:
-        return 1.0
-    if p_mvd == 1.0:
-        raise MetricsError(
-            "inconsistent detector spec: perfect precision with nonzero FPR"
-        )
-    if r_mvd == 0.0:
-        raise MetricsError("detector recall must be > 0 when FPR > 0")
-    ratio = (far_mvd * p_mvd * (1 - r_mvd)) / ((1 - far_mvd) * (1 - p_mvd) * r_mvd)
-    return 1.0 / (1.0 + ratio)
 
 
 def pass_rate(tpr: float, fpr: float, pi: float) -> float:
@@ -118,9 +91,30 @@ def precision_at_prevalence(tpr: float, fpr: float, pi: float) -> float:
 def invert_detector(precision: float, recall: float, fpr: float) -> tuple[float, float, float]:
     """The screener a detector becomes when used in reverse: ``(P_M, R_M, F_M)``.
 
-    P_M is the as-published :func:`invert_detector_precision`, R_M is
-    1 - detector FPR and F_M is 1 - detector recall.
+    R_M is 1 - detector FPR and F_M is 1 - detector recall.  P_M is
+    evaluated, as published, as 1 / (1 + Far*P*(1-R) / ((1-Far)*(1-P)*R))
+    on the detector-side triple.  When the triple is mutually consistent at
+    some prevalence, this equals the precision read off the label-swapped
+    confusion counts at that prevalence.  The published triple is taken at
+    face value even when its components are mutually inconsistent; use
+    :func:`precision_at_prevalence` on the screener rates for the
+    prevalence-consistent alternative.  A triple that gives no screener
+    raises :class:`MetricsError`.
     """
-    p_m = invert_detector_precision(precision, recall, fpr)
-    _check_unit("precision", p_m, lo_open=True)  # a subnormal recall can overflow the ratio
+    _check_unit("p_mvd", precision, lo_open=True)
+    _check_unit("r_mvd", recall)
+    _check_unit("far_mvd", fpr, hi_open=True)
+    # Degenerate cases route to their closed forms to avoid 0/0.
+    if fpr == 0.0 or recall == 1.0:
+        p_m = 1.0
+    elif precision == 1.0:
+        raise MetricsError("inconsistent detector spec: perfect precision with nonzero FPR")
+    elif recall == 0.0:
+        raise MetricsError("detector recall must be > 0 when FPR > 0")
+    else:
+        den = (1 - fpr) * (1 - precision) * recall
+        p_m = 1.0 / (1.0 + (fpr * precision * (1 - recall)) / den) if den else 0.0
+    # a subnormal recall makes the ratio inf, by overflow or over a denominator
+    # that underflows to 0, and P_M = 1/(1 + inf) is then 0
+    _check_unit("precision", p_m, lo_open=True)
     return p_m, 1.0 - fpr, 1.0 - recall

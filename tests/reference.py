@@ -2,7 +2,7 @@
 
 The package computes screener metrics straight from rates; these helpers
 build the expected TP/FP/FN/TN counts and swap the labels instead, so tests
-can check ``invert_detector_precision`` against a direct re-reading of the
+can check ``invert_detector``'s P_M against a direct re-reading of the
 swapped counts.  Counts are real-valued: they represent expected counts, not
 integer tallies.
 

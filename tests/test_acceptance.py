@@ -246,7 +246,7 @@ def test_criterion_6_inversion_bruteforce_equivalence():
             r = rng.uniform(0.01, 0.99)
             far = rng.uniform(0.01, 0.99)
             implied_p = met.precision_at_prevalence(r, far, pi)
-            formula = met.invert_detector_precision(implied_p, r, far)
+            formula = met.invert_detector(implied_p, r, far)[0]
             oracle = swap_labels(counts_from_rates(r, far, pi, 1000.0)).precision
             worst = max(worst, abs(formula - oracle))
         ok = worst <= 1e-12

@@ -37,6 +37,9 @@ CATALOGS = {
                                      dict(GEN, name="Gen 2", precision=1.0, fpr=0.1)]},
     "zero-recall": {"models": [dict(GEN, recall=0.0, fpr=0.1)], "benchmark": BENCHMARK},
     "fpr-one": {"models": [dict(GEN, fpr=1.0)], "benchmark": BENCHMARK},
+    # each underflows a denominator to 0: the inversion's, and the Bayes FPR's on load
+    "subnormal-recall": {"models": [dict(GEN, recall=5e-324, fpr=0.5)]},
+    "subnormal-precision": {"models": [dict(GEN, precision=5e-324, prevalence=0.5)]},
     "huge-latency": {"models": [dict(GEN, latency_seconds=1e300)],
                      "benchmark": dict(BENCHMARK, q75=1e300, mean=1e300)},
     "subnormal-benchmark": {"models": [GEN],
@@ -52,8 +55,8 @@ ODD = [None, "0", "-1", "1e300", "-1e300", "1e308", "-1e308", "1e-320", "abc", "
 UNPARSEABLE = {"broken": b"{", "binary": b"\xff\xfe", "deeply-nested": b"[" * 100_000}
 CATALOG = ([None, "@valid"], [f"@{kind}" for kind in [*CATALOGS, *UNPARSEABLE, "missing"]])
 MODEL = (["VulDeePecker", "CodeJIT RGCN", "IVDetect on ReVeal", "@valid"],
-         [None, "LineVul", "Gen", "Gen 2", "nope", "@perfect-precision", "@binary",
-          "@deeply-nested", "@missing"])
+         [None, "LineVul", "Gen", "Gen 2", "nope", "@perfect-precision", "@subnormal-recall",
+          "@subnormal-precision", "@binary", "@deeply-nested", "@missing"])
 PI = (["0.38", "0.06", "0.9"], ODD)
 TAU_V = (["600", "27.04", "1.5"], ODD)
 TAU_M = ([None, "156", "1.5", "0.1"], ODD)
@@ -111,7 +114,8 @@ def catalog_files(tmp_path_factory):
     ("fpr-one", "Gen: far_mvd must be < 1, got 1.0"),
     ("zero-recall", "Gen: detector recall must be > 0 when FPR > 0"),
     ("perfect-precision", "Gen 2: inconsistent detector spec: perfect precision with nonzero FPR"),
-], ids=["fpr-one", "zero-recall", "perfect-precision"])
+    ("subnormal-recall", "Gen: precision must be > 0, got 0.0"),
+], ids=["fpr-one", "zero-recall", "perfect-precision", "subnormal-recall"])
 @pytest.mark.parametrize("argv", [
     ["invert", "--model={}"],
     ["bounds", "--model={}", "--pi=0.38", "--tau-v=27.04"],
@@ -146,6 +150,10 @@ def _not_strict_json(token):
 # finite times whose squared deviations overflow the standard error to inf
 @example(argv=["simulate", "--model=VulDeePecker", "--pi=0.38", "--tau-v=1e300", "--n=50",
                "--trials=3", "--format=csv"])
+# a model file whose row underflows a denominator: on inversion, and on load
+@example(argv=["invert", "--model=@subnormal-recall", "--format=table"])
+@example(argv=["bounds", "--model=@subnormal-precision", "--pi=0.38", "--tau-v=600",
+               "--format=json"])
 def test_any_argv_ends_cleanly(catalog_files, argv):
     argv = [re.sub(r"@([a-z-]+)", lambda m: str(catalog_files[m[1]]), a) for a in argv]
     out, err = io.StringIO(), io.StringIO()

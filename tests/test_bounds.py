@@ -15,9 +15,9 @@ from pipegate.bounds import (
     min_extra_ratio,
     min_validator_time,
 )
-from pipegate.metrics import MetricsError, invert_detector_precision
+from pipegate.metrics import MetricsError, invert_detector
 
-VDP_P_M = invert_detector_precision(0.87, 0.84, 0.05)  # 0.93713
+VDP_P_M = invert_detector(0.87, 0.84, 0.05)[0]  # 0.93713
 VDP_R_M = 0.95
 
 
@@ -69,7 +69,7 @@ class TestBoundsFormulas:
             min_extra_ratio(0.0)
 
     def test_max_model_time_linevul_q25(self):
-        p_m = invert_detector_precision(0.97, 0.86, 0.002)
+        p_m = invert_detector(0.97, 0.86, 0.002)[0]
         relaxed, _ = max_model_time(9.17, 0.998, p_m, 0.38)
         assert relaxed > 0
         assert relaxed == pytest.approx(5.67, rel=0.01)
@@ -95,7 +95,7 @@ class TestBoundsFormulas:
     def test_min_validator_time_fixed_model(self):
         floor = min_validator_time(156, VDP_R_M, VDP_P_M, 0.38)
         assert floor / 60 == pytest.approx(4.56, rel=0.02)
-        p_m = invert_detector_precision(0.11, 0.14, 0.11)
+        p_m = invert_detector(0.11, 0.14, 0.11)[0]
         floor = min_validator_time(156, 0.89, p_m, 0.38)
         assert floor / 60 == pytest.approx(5.07, rel=0.02)
 

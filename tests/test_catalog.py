@@ -191,11 +191,14 @@ class TestLoadCatalog:
          "models[0] (Gen): eval_prevalence must be < 1, got 1.0"),
         # without an FPR, bayes_fpr checks the prevalence first
         ({"models": [dict(GEN, prevalence=0)]}, "models[0] (Gen): pi must be > 0, got 0.0"),
+        # precision * (1 - prevalence) underflows to 0, so the implied FPR is inf
+        ({"models": [dict(GEN, precision=5e-324, recall=0.5, prevalence=0.5)]},
+         "models[0] (Gen): fpr must be in [0, 1], got inf"),
     ], ids=["not-object", "unknown-top", "models-not-list", "model-not-object", "blank-name",
             "string-number", "bool-number", "duplicate", "benchmark-not-object",
             "benchmark-unknown", "benchmark-missing", "benchmark-prevalence",
             "latency-negative", "fpr-above-one", "prevalence-zero", "prevalence-one",
-            "prevalence-zero-no-fpr"])
+            "prevalence-zero-no-fpr", "subnormal-precision-no-fpr"])
     def test_malformed_document_names_file(self, tmp_path, doc, message):
         # a command may read two catalog files; each error says which one
         path = write_doc(tmp_path, doc)

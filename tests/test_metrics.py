@@ -15,7 +15,6 @@ from pipegate.metrics import (
     bayes_fpr,
     consistency_gap,
     invert_detector,
-    invert_detector_precision,
     pass_rate,
     precision_at_prevalence,
 )
@@ -117,22 +116,22 @@ class TestSwapLabels:
 
 class TestDetectorInversion:
     def test_vuldeepecker_precision(self):
-        assert invert_detector_precision(0.87, 0.84, 0.05) == pytest.approx(0.9371, abs=5e-5)
+        assert invert_detector(0.87, 0.84, 0.05)[0] == pytest.approx(0.9371, abs=5e-5)
 
     def test_reveal_precision(self):
-        assert invert_detector_precision(0.11, 0.14, 0.11) == pytest.approx(0.914, abs=5e-4)
+        assert invert_detector(0.11, 0.14, 0.11)[0] == pytest.approx(0.914, abs=5e-4)
 
     def test_perfect_recall_gives_perfect_screener_precision(self):
-        assert invert_detector_precision(0.5, 1.0, 0.3) == 1.0
-        assert invert_detector_precision(0.5, 0.7, 0.0) == 1.0
+        assert invert_detector(0.5, 1.0, 0.3)[0] == 1.0
+        assert invert_detector(0.5, 0.7, 0.0)[0] == 1.0
 
     def test_inconsistent_perfect_precision(self):
         with pytest.raises(MetricsError):
-            invert_detector_precision(1.0, 0.5, 0.1)
+            invert_detector(1.0, 0.5, 0.1)[0]
 
     def test_zero_recall_with_fpr_rejected(self):
         with pytest.raises(MetricsError, match="detector recall must be > 0 when FPR > 0"):
-            invert_detector_precision(0.5, 0.0, 0.1)
+            invert_detector(0.5, 0.0, 0.1)[0]
 
     def test_recall_and_fpr(self):
         # screener recall is 1 - detector FPR, screener FPR 1 - detector recall
@@ -147,6 +146,9 @@ class TestDetectorInversion:
         # a subnormal recall overflows the ratio, and P_M = 1/(1 + inf) is 0
         with pytest.raises(MetricsError, match=r"^precision must be > 0, got 0.0$"):
             invert_detector(0.5, 1e-310, 0.5)
+        # a smaller one underflows the denominator to 0, and the ratio is inf too
+        with pytest.raises(MetricsError, match=r"^precision must be > 0, got 0.0$"):
+            invert_detector(0.5, 5e-324, 0.5)
 
     @given(r=rates, far=rates, pi=prevalences, total=st.floats(min_value=1, max_value=1e6))
     @settings(max_examples=300)
@@ -155,7 +157,7 @@ class TestDetectorInversion:
         # with reading the swapped confusion counts directly
         implied_p = precision_at_prevalence(r, far, pi)
         swapped = swap_labels(counts_from_rates(r, far, pi, total))
-        assert invert_detector_precision(implied_p, r, far) == pytest.approx(
+        assert invert_detector(implied_p, r, far)[0] == pytest.approx(
             swapped.precision, abs=1e-12
         )
         _, r_m, f_m = invert_detector(implied_p, r, far)
@@ -175,7 +177,7 @@ class TestPrecisionAtPrevalence:
 
     def test_prevalence_gap_between_published_and_consistent(self):
         # the two precision readings of the same screener differ materially
-        as_published = invert_detector_precision(0.87, 0.84, 0.05)
+        as_published = invert_detector(0.87, 0.84, 0.05)[0]
         consistent = precision_at_prevalence(0.95, 0.16, 0.38)
         assert as_published == pytest.approx(0.9371, abs=5e-5)
         assert consistent == pytest.approx(0.7843, abs=5e-4)
@@ -228,7 +230,6 @@ class TestSpecTypes:
     def test_screener_rates(self):
         p_m, r_m, f_m = invert_detector(0.87, 0.84, 0.05)
         assert p_m == pytest.approx(0.9371, abs=5e-5)
-        assert p_m == invert_detector_precision(0.87, 0.84, 0.05)
         assert r_m == pytest.approx(0.95)
         assert f_m == pytest.approx(0.16)
 

@@ -70,8 +70,7 @@ def test_process_holds_one_thread_unless_the_user_sets_openblas_threads(blas_thr
 # each module's public surface, pinned so that adding or dropping a name is a visible change
 PUBLIC = {
     "metrics": ["MetricsError", "EPS_CONSISTENCY", "bayes_fpr", "consistency_gap",
-                "invert_detector_precision", "pass_rate", "precision_at_prevalence",
-                "invert_detector"],
+                "pass_rate", "precision_at_prevalence", "invert_detector"],
     "bounds": ["VERDICT_CONVENIENT", "VERDICT_NOT_CONVENIENT", "VERDICT_BOUNDARY",
                "min_extra_ratio", "max_model_time", "min_validator_time", "expected_figures",
                "evaluate"],

@@ -351,6 +351,12 @@ class TestModel:
         assert model["survivors"].se == math.sqrt(m * q * (1 - q)) / math.sqrt(cfg.trials)
         assert model["augmented_time"].se == pytest.approx(cfg.tau_v * model["survivors"].se)
 
+    def test_augmented_tp_standard_error(self):
+        # p = pi * R_M * R_V = 1/8 over m = 448 items: one trial's SD is
+        # sqrt(448 * 1/8 * 7/8) = 7, over sqrt(4) trials; every step is exact
+        cfg = make_config(pi=0.5, tpr_m=0.5, r_v=0.5, n=400, delta_n=48, trials=4)
+        assert expected_outcome(cfg)["augmented_tp"].se == 3.5
+
     @pytest.mark.parametrize("overrides", [
         {},
         {"n": 333, "delta_n": 17, "tau_v": 237.97, "r_v": 0.8},
@@ -449,6 +455,7 @@ class TestConfigValidation:
             ("r_v", 1.5, r"r_v must be in \[0, 1\], got 1.5"),
             ("r_v", -0.1, r"r_v must be in \[0, 1\], got -0.1"),
             ("trials", 1, r"trials must be >= 2, got 1"),
+            ("seed", 2**64, "seed must fit in 64 bits"),
         ]:
             with pytest.raises(MetricsError, match=message):
                 make_config(**{field: value})
