@@ -18,18 +18,25 @@ validator variates.  At validator recall 1 no validator variates are drawn:
 stream, so every good item that reaches the validator counts without them
 and no other draw moves.
 
-Memory per worker thread is fixed, whatever n is: one 192 KiB buffer of
-3 x 8192 doubles and three 24 KiB masks.  One loop counts every trial, a
-block of trials and a chunk of items at a time, with one generator
+No variate is ever a double.  numpy's double of a 64-bit Philox word w is
+(w >> 11) * 2**-53, and a Bernoulli(p) draw passes when that double is below
+p, which holds exactly when w < ceil(p * 2**53) << 11: one integer limit per
+probability, computed once per run (``_word_limit``), so every comparison is
+made on the raw words and the seeded counts are those of the doubles.
+
+Memory per worker thread is fixed, whatever n is: at most 3 x 8192 words
+(192 KiB) of draws at a time and three 24 KiB masks.  One loop counts every
+trial, a block of trials and a chunk of items at a time, with one Philox
 re-pointed at the offset where each kind of variate starts (labels at 0,
 screener at m, validator after both).  Philox is counter-based, so any
-offset is reached directly, and each kind's chunks hold exactly the
-variates that one ``random(m)`` call from that offset would return: the
-draw layout above is unchanged.  A chunk that holds its whole trial takes
-all of the trial's draws in one call.  Trials whose draws fit 2048 doubles
-share blocks that fill the buffer, in the calling thread; a larger trial is
-a block alone, in chunks of the buffer's worth of draws, and only such trials
-use worker threads, as contiguous runs of trials, one per thread.
+offset is reached directly, and each kind's chunks hold exactly the words
+that one ``random_raw(m)`` call from that offset would return: the draw
+layout above is unchanged.  A chunk that holds its whole trial takes all of
+the trial's words in one call.  Trials whose draws fit 2048 words share
+blocks, copied into one buffer of 3 x 8192 words, in the calling thread; a
+larger trial is a block alone, counted straight from its draws in chunks of
+the buffer's worth of words, and only such trials use worker threads, as
+contiguous runs of trials, one per thread.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -41,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 # pipegate makes no BLAS call, yet the thread pool OpenBLAS starts as numpy
@@ -76,14 +84,14 @@ NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
 _BASELINE_STREAM = 0
 _AUGMENTED_STREAM = 1
 
-# Items per chunk of a trial that draws all three kinds of variate.  A
-# worker's buffer holds 3 * _CHUNK doubles (192 KiB), and a trial with fewer
-# kinds takes as many more items per chunk, so the per-chunk re-keys and row
-# sums are paid over more items.
+# Items per chunk of a trial that draws all three kinds of variate.  A chunk
+# holds 3 * _CHUNK words (192 KiB), and a trial with fewer kinds takes as many
+# more items per chunk, so the per-chunk re-keys and row sums are paid over
+# more items.
 _CHUNK = 1 << 13
 
-# Trials of at most this many draws share blocks, twelve or more to the
-# buffer's 3 * _CHUNK doubles, and run in the calling thread: their re-keys
+# Trials of at most this many words share blocks, twelve or more to the
+# buffer's 3 * _CHUNK words, and run in the calling thread: their re-keys
 # and short numpy calls hold the GIL, and on a 2-vCPU VM a second thread did
 # not make them faster.  From about 2,700 items per trial a second thread made
 # trials up to 1.2-1.5x as fast, and a trial of that size alone in its block
@@ -176,15 +184,36 @@ def _summarize(samples: np.ndarray) -> Stat:
     return Stat(mean=mean, se=se)
 
 
+def _word_limit(p: float) -> int:
+    """The words of a Bernoulli(p) draw that pass: those below this limit.
+
+    numpy's double of a word w is (w >> 11) * 2**-53, and w >> 11 < 2**53, so
+    the double is exact.  It is below p exactly when the integer w >> 11 is
+    below p * 2**53, so below ceil(p * 2**53), so exactly when w is below
+    ceil(p * 2**53) << 11.  p * 2**53 is a power-of-two scaling of a double in
+    [0, 1], exact too.  At p = 1 the limit is 2**64 and every word passes.
+    """
+    return math.ceil(p * 2**53) << 11
+
+
+def _below(words: np.ndarray, limit: int, out: np.ndarray) -> None:
+    """``out = words < limit``, in uint64: no word is ever widened to a double."""
+    if limit == 1 << 64:  # past uint64; every word is below it
+        out.fill(True)
+    else:
+        np.less(words, np.uint64(limit), out=out)
+
+
 class _Worker:
-    """One worker thread's generator and buffers, reused by each of its trials.
+    """One worker thread's Philox and masks, reused by each of its trials.
 
     Re-keying the Philox through its state gives the stream a fresh
     ``Philox(key=...)`` would, without constructing a generator per trial.
+    Every draw is a raw 64-bit word, compared with a :func:`_word_limit`.
     """
 
     def __init__(self) -> None:
-        self._rng = np.random.Generator(np.random.Philox(key=0))
+        self._bits = np.random.Philox(key=0)
         self._key = [0, 0]
         self._counter = [0, 0, 0, 0]
         self._state = {
@@ -195,44 +224,44 @@ class _Worker:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._u = np.empty(3 * _CHUNK, dtype=np.float64)
-        self._skip = np.empty(3, dtype=np.float64)
         self._good, self._passed, self._hit = (np.empty(3 * _CHUNK, dtype=bool) for _ in range(3))
 
-    def _draw(self, cfg: SimConfig, trial: int, stream: int, offset: int, out: np.ndarray) -> None:
-        """Fill ``out`` from draw ``offset`` of one trial's stream.
+    def _draw(self, cfg: SimConfig, trial: int, stream: int, offset: int, count: int) -> np.ndarray:
+        """``count`` words from word ``offset`` of one trial's stream.
 
-        Philox yields doubles in blocks of four, one counter step each: the
-        counter skips the whole blocks, and the rest are drawn into scratch.
+        Philox yields words in blocks of four, one counter step each: the
+        counter skips the whole blocks, and the rest are drawn and dropped.
         """
         self._key[0] = cfg.seed
         self._key[1] = (trial << 1) | stream
         self._counter[0] = offset >> 2
-        self._rng.bit_generator.state = self._state
+        self._bits.state = self._state
         if offset & 3:
-            self._rng.random(out=self._skip[: offset & 3])
-        self._rng.random(out=out)
+            self._bits.random_raw(offset & 3, output=False)
+        return self._bits.random_raw(count)
 
-    def _count(self, cfg: SimConfig, u: np.ndarray, augmented: bool) -> tuple:
-        """Per-row (true positives, survivors, good survivors) of a (rows, kinds, items) view.
+    def _count(self, cfg: SimConfig, limits: tuple, words, augmented: bool) -> tuple:
+        """Per-row (true positives, survivors, good survivors) of one chunk's words.
 
-        Each row holds its items' labels, then their screener variates if
-        ``augmented``, then their validator variates if R_V < 1.  Without a
+        ``words[k]`` is a (rows, items) array of kind k: labels, then the
+        screener's words if ``augmented``, then the validator's if R_V < 1.
+        ``limits`` are the word limits of (pi, F_M, R_M, R_V).  Without a
         screener all items reach the validator.  A row holds at most
         ``3 * _CHUNK`` items, so its counts fit 16 bits.
         """
-        rows, _, items = u.shape
+        pi, fpr_m, tpr_m, r_v = limits
+        rows, items = words[0].shape
         good, passed, hit = (mask[: rows * items].reshape(rows, items)
                              for mask in (self._good, self._passed, self._hit))
-        np.less(u[:, 0], cfg.pi, out=good)
+        _below(words[0], pi, good)
         if augmented:
-            np.less(u[:, 1], cfg.fpr_m, out=passed)
+            _below(words[1], fpr_m, passed)
             np.greater(passed, good, out=passed)  # bad items passed
-            np.less(u[:, 1], cfg.tpr_m, out=hit)
+            _below(words[1], tpr_m, hit)
             good &= hit
         tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
         if cfg.r_v < 1.0:
-            np.less(u[:, -1], cfg.r_v, out=hit)
+            _below(words[-1], r_v, hit)
             hit &= good
             tp = hit.sum(axis=1, dtype=np.uint16)
         survivors = passed.sum(axis=1, dtype=np.uint16) + good_survivors if augmented else items
@@ -244,26 +273,33 @@ class _Worker:
         Trials go a block of ``rows`` at a time, each block a chunk of
         ``width`` items at a time, one :meth:`_count` per chunk.  A chunk that
         covers its whole trial takes one draw call from the start of the
-        stream.  Otherwise each kind of variate is drawn from where that kind
-        starts, every kind m draws after the one before, so the chunk reads
-        what one ``random(m)`` call from there would return.
+        stream; trials that share a block are copied into one buffer by one
+        ``np.concatenate``, and a trial alone in its block is counted from
+        its draws.  Otherwise each kind of word is drawn from where that kind
+        starts, every kind m words after the one before, so the chunk reads
+        what one ``random_raw(m)`` call from there would return.
         """
         augmented = stream == _AUGMENTED_STREAM
         m, kinds, rows, width = _geometry(cfg, stream)
+        limits = tuple(_word_limit(p) for p in (cfg.pi, cfg.fpr_m, cfg.tpr_m, cfg.r_v))
+        buffer = np.empty(rows * kinds * m if rows > 1 else 0, dtype=np.uint64)
         for first in range(trials.start, trials.stop, rows):
             block = range(first, min(first + rows, trials.stop))
             sums = np.zeros((3, len(block)), dtype=np.int64)
             for lo in range(0, m, width):
                 size = min(width, m - lo)
-                u = self._u[: len(block) * kinds * size].reshape(len(block), kinds, size)
-                for t, row in zip(block, u):
-                    if size == m:
-                        self._draw(cfg, t, stream, 0, row)
-                    else:
-                        for kind in range(kinds):
-                            self._draw(cfg, t, stream, kind * m + lo, row[kind])
-                for total, chunk in zip(sums, self._count(cfg, u, augmented)):
+                if rows > 1:
+                    words = np.concatenate([self._draw(cfg, t, stream, 0, kinds * m) for t in block],
+                                           out=buffer[: len(block) * kinds * m])
+                    words = words.reshape(len(block), kinds, m).swapaxes(0, 1)
+                elif size == m:
+                    words = self._draw(cfg, first, stream, 0, kinds * m).reshape(kinds, 1, m)
+                else:
+                    words = [self._draw(cfg, first, stream, kind * m + lo, size)[None]
+                             for kind in range(kinds)]
+                for total, chunk in zip(sums, self._count(cfg, limits, words, augmented)):
                     total += chunk
+                del words  # before the next chunk's draws: one chunk's words at a time
             counts[:, first:block.stop] = sums
 
 
@@ -312,13 +348,34 @@ def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarr
     if threads == 1:
         _Worker().run(cfg, runs[0], stream, counts)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda run: _Worker().run(cfg, run, stream, counts), runs))
+        _run_threads(cfg, stream, runs, counts)
     tp, survivors, good_survivors = counts
     time = (cfg.tau_m if stream == _AUGMENTED_STREAM else 0.0) * m + cfg.tau_v * survivors
     return {"tp": tp, "time": time, "survivors": survivors, "good_survivors": good_survivors}
+
+
+def _run_threads(cfg: SimConfig, stream: int, runs: list[range], counts: np.ndarray) -> None:
+    """Each run of trials in its own thread; the first run's exception, if any, is raised here."""
+    failures: list[Exception | None] = [None] * len(runs)
+
+    def work(i: int) -> None:
+        try:
+            _Worker().run(cfg, runs[i], stream, counts)
+        except Exception as exc:  # re-raised in the calling thread below
+            failures[i] = exc
+
+    started = []
+    try:
+        for i in range(len(runs)):
+            thread = threading.Thread(target=work, args=(i,))
+            thread.start()
+            started.append(thread)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
 
 
 def run_baseline(cfg: SimConfig, workers: int = 1) -> dict[str, np.ndarray]:

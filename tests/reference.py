@@ -107,20 +107,25 @@ def _philox_block(key: tuple[int, int], counter: int) -> tuple[int, int, int, in
     return c0, c1, c2, c3
 
 
-def philox_doubles(key: tuple[int, int], offset: int, count: int) -> list[float]:
-    """``count`` doubles from draw ``offset`` of the Philox stream under ``key``.
+def philox_words(key: tuple[int, int], offset: int, count: int) -> list[int]:
+    """``count`` 64-bit words from word ``offset`` of the Philox stream under ``key``.
 
     numpy's conventions: the counter is incremented before each block, so
-    draw ``offset`` lies in the block at counter offset // 4 + 1; a block's
-    words are drawn in order; a double is the word's top 53 bits times 2**-53.
+    word ``offset`` lies in the block at counter offset // 4 + 1, and a
+    block's words are drawn in order.
     """
-    out: list[float] = []
+    out: list[int] = []
     counter = offset // 4 + 1
     skip = offset % 4
     while len(out) < skip + count:
-        out.extend((word >> 11) * 2.0**-53 for word in _philox_block(key, counter))
+        out.extend(_philox_block(key, counter))
         counter += 1
     return out[skip: skip + count]
+
+
+def philox_doubles(key: tuple[int, int], offset: int, count: int) -> list[float]:
+    """The same draws as numpy's doubles: a word's top 53 bits times 2**-53."""
+    return [(word >> 11) * 2.0**-53 for word in philox_words(key, offset, count)]
 
 
 def sampled_trial(cfg, trial: int, augmented: bool) -> tuple[int, int, int]:

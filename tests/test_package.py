@@ -54,6 +54,17 @@ def test_cli_import_loads_numpy_but_no_thread_pool_and_leaves_environ_alone():
     assert _fresh_import(probe) == ["True False False"]
 
 
+def test_threaded_simulate_loads_no_thread_pool_module():
+    # worker threads are plain threading.Thread, a module numpy has already loaded
+    probe = (
+        "import sys; from pipegate import simulate; simulate._usable_cpus = lambda: 2; "
+        "simulate.compare(simulate.SimConfig(pi=0.38, n=9000, delta_n=0, tpr_m=0.9, "
+        "fpr_m=0.1, tau_m=1.0, tau_v=10.0, trials=2), workers=2); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    assert _fresh_import(probe) == ["False"]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
 @pytest.mark.parametrize("blas_threads, threads", [(None, 1), ("2", 2)])
 def test_process_holds_one_thread_unless_the_user_sets_openblas_threads(blas_threads, threads):

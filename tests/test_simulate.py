@@ -4,8 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from pipegate.simulate import (
     run_augmented,
     run_baseline,
 )
-from reference import philox_doubles, sampled_trial
+from reference import philox_words, sampled_trial
 
 VDP_TPR, VDP_FPR = 0.95, 0.16
 
@@ -98,26 +98,35 @@ INLINE = simulate._INLINE_DRAWS
 
 @pytest.fixture
 def recorded_draws(monkeypatch):
-    """Per stream key, how far into the stream each worker drew, and its ``random`` calls."""
+    """Per stream key, how far into the stream each worker drew, and its ``random_raw`` calls."""
     ends, calls = {}, {}
     init = simulate._Worker.__init__
 
     class Recording:
-        def __init__(self, rng):
-            self.bit_generator, self._rng = rng.bit_generator, rng
+        def __init__(self, bits):
+            self._bits = bits
 
-        def random(self, out):
-            self._rng.random(out=out)
-            state = self.bit_generator.state
-            # Philox hands out four doubles per counter step
+        @property
+        def state(self):
+            return self._bits.state
+
+        @state.setter
+        def state(self, value):
+            self._bits.state = value
+
+        def random_raw(self, size, output=True):
+            words = self._bits.random_raw(size, output=output)
+            state = self._bits.state
+            # Philox hands out four words per counter step
             end = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
             stream = int(state["state"]["key"][1])
             ends[stream] = max(ends.get(stream, 0), end)
             calls[stream] = calls.get(stream, 0) + 1
+            return words
 
     def recording_init(worker):
         init(worker)
-        worker._rng = Recording(worker._rng)
+        worker._bits = Recording(worker._bits)
 
     monkeypatch.setattr(simulate._Worker, "__init__", recording_init)
     return ends, calls
@@ -216,38 +225,102 @@ class TestChunkedKernel:
         assert peak < 512 * 1024
 
     def test_pool_capped_at_trials_and_cpus(self, monkeypatch):
-        sizes = []
+        sizes, started = [], []
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+        def run(pipeline, cfg, workers):
+            started.clear()
+            pipeline(cfg, workers=workers)
+            if started:  # the threads this call started, as one pool
+                sizes.append(len(started))
+
+        monkeypatch.setattr(threading, "Thread", RecordingThread)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         big = dict(n=CHUNK + 1, delta_n=0)  # trials too large to share a block
-        run_augmented(make_config(trials=5, **big), workers=64)  # capped by CPUs
-        run_augmented(make_config(trials=2, **big), workers=64)  # capped by trials
-        run_augmented(make_config(trials=5, **big), workers=2)
-        run_augmented(make_config(trials=5, **big), workers=1)  # runs inline
+        run(run_augmented, make_config(trials=5, **big), workers=64)  # capped by CPUs
+        run(run_augmented, make_config(trials=2, **big), workers=64)  # capped by trials
+        run(run_augmented, make_config(trials=5, **big), workers=2)
+        run(run_augmented, make_config(trials=5, **big), workers=1)  # runs inline
         assert sizes == [3, 2, 2]
         # the largest baseline trial that runs in the calling thread, and the
         # smallest that does not
         sizes.clear()
-        run_baseline(make_config(n=INLINE, delta_n=0, trials=5), workers=2)
-        run_baseline(make_config(n=INLINE + 1, delta_n=0, trials=5), workers=2)
+        run(run_baseline, make_config(n=INLINE, delta_n=0, trials=5), workers=2)
+        run(run_baseline, make_config(n=INLINE + 1, delta_n=0, trials=5), workers=2)
         assert sizes == [2]
 
     def test_small_trials_start_no_pool(self, monkeypatch):
         cfg = make_config(n=500, delta_n=30, trials=20, r_v=0.9)
         want = compare(cfg, workers=1)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("thread started")
 
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 4)
         assert compare(cfg, workers=4) == want
+        # not vacuous: trials too large to share a block do start threads
+        with pytest.raises(AssertionError, match="thread started"):
+            run_augmented(make_config(n=CHUNK + 1, delta_n=0, trials=4), workers=4)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        run = simulate._Worker.run
+
+        def failing_run(worker, cfg, trials, stream, counts):
+            if trials.start:  # every run but the first fails, each in a thread of its own
+                raise RuntimeError(f"trials from {trials.start}")
+            run(worker, cfg, trials, stream, counts)
+
+        monkeypatch.setattr(simulate._Worker, "run", failing_run)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        # runs of trials 0, 1 and 2-3: the first failing run's exception is raised
+        with pytest.raises(RuntimeError, match="^trials from 1$"):
+            compare(make_config(n=CHUNK + 1, delta_n=0, trials=4), workers=3)
+        assert threading.active_count() == before  # every thread was joined
+
+
+def double_passes(word: int, p: float) -> bool:
+    """numpy's rule: the word's double, its top 53 bits times 2**-53, is below p."""
+    return (word >> 11) * 2.0**-53 < p
+
+
+class TestWordLimit:
+    """``_word_limit`` and ``_below`` against the double rule they replace."""
+
+    @pytest.mark.parametrize("p,limit", [
+        (0.0, 0),
+        (1.0, 2**64),
+        (1 - 2**-53, 2**64 - 2**11),
+        (5e-324, 2**11),  # the least subnormal: only words whose top 53 bits are 0
+        (2**-53, 2**11),
+        (3 * 2**-53, 3 << 11),
+        (12345 * 2**-53, 12345 << 11),
+        (0.5, 2**63),
+        (0.38, math.ceil(0.38 * 2**53) << 11),
+    ])
+    def test_edges(self, p, limit):
+        assert simulate._word_limit(p) == limit
+        words = [w for w in (limit - 1, limit) if 0 <= w < 2**64]
+        passes = np.empty(len(words), dtype=bool)
+        simulate._below(np.array(words, dtype=np.uint64), limit, passes)
+        assert passes.tolist() == [double_passes(w, p) for w in words] == [w < limit for w in words]
+
+    @given(
+        p=st.floats(0.0, 1.0),
+        words=st.lists(st.integers(0, 2**64 - 1), max_size=8),
+        near=st.lists(st.integers(-2**12, 2**12), max_size=8),
+    )
+    def test_limit_is_the_double_rule(self, p, words, near):
+        limit = simulate._word_limit(p)
+        words += [w for w in (limit + d for d in near) if 0 <= w < 2**64]
+        passes = np.empty(len(words), dtype=bool)
+        simulate._below(np.array(words, dtype=np.uint64), limit, passes)
+        assert passes.tolist() == [double_passes(w, p) for w in words]
 
 
 class TestSamplerSpec:
@@ -256,9 +329,10 @@ class TestSamplerSpec:
     @pytest.mark.parametrize("seed,trial,stream", [(0, 0, 0), (2**64 - 1, 123456, 1)])
     @pytest.mark.parametrize("offset", [*range(8), 2**40 + 3])
     def test_draw_matches_spec(self, seed, trial, stream, offset):
-        out = np.empty(9)  # past the end of the next block of four
-        simulate._Worker()._draw(make_config(seed=seed), trial, stream, offset, out)
-        assert out.tolist() == philox_doubles((seed, 2 * trial + stream), offset, 9)
+        # past the end of the next block of four
+        words = simulate._Worker()._draw(make_config(seed=seed), trial, stream, offset, 9)
+        assert words.dtype == np.uint64
+        assert words.tolist() == philox_words((seed, 2 * trial + stream), offset, 9)
 
     @pytest.mark.parametrize("n,delta_n,r_v,trials,layouts,blocks", [
         (200, 40, 0.9, 3, ("block", "block"), (61, 34)),
