@@ -24,7 +24,7 @@ p, which holds exactly when w < ceil(p * 2**53) << 11: one integer limit per
 probability, computed once per run (``_word_limit``), so every comparison is
 made on the raw words and the seeded counts are those of the doubles.
 
-Memory per worker thread is fixed, whatever n is: at most 3 x 8192 words
+Memory per run of trials is fixed, whatever n is: at most 3 x 8192 words
 (192 KiB) of draws at a time and three 24 KiB masks.  One loop counts every
 trial, a block of trials and a chunk of items at a time, with one Philox
 re-pointed at the offset where each kind of variate starts (labels at 0,
@@ -35,8 +35,9 @@ layout above is unchanged.  A chunk that holds its whole trial takes all of
 the trial's words in one call.  Trials whose draws fit 2048 words share
 blocks, copied into one buffer of 3 x 8192 words, in the calling thread; a
 larger trial is a block alone, counted straight from its draws in chunks of
-the buffer's worth of words, and only such trials use worker threads, as
-contiguous runs of trials, one per thread.
+the buffer's worth of words, and only such trials are split into contiguous
+runs of trials: the calling thread takes the first run, and one worker thread
+each of the others.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -80,9 +81,6 @@ __all__ = [
 
 VERDICT_INCONCLUSIVE = "inconclusive"
 NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
-
-_BASELINE_STREAM = 0
-_AUGMENTED_STREAM = 1
 
 # Items per chunk of a trial that draws all three kinds of variate.  A chunk
 # holds 3 * _CHUNK words (192 KiB), and a trial with fewer kinds takes as many
@@ -205,7 +203,7 @@ def _below(words: np.ndarray, limit: int, out: np.ndarray) -> None:
 
 
 class _Worker:
-    """One worker thread's Philox and masks, reused by each of its trials.
+    """One run's Philox and masks, reused by each of its trials.
 
     Re-keying the Philox through its state gives the stream a fresh
     ``Philox(key=...)`` would, without constructing a generator per trial.
@@ -226,14 +224,14 @@ class _Worker:
         }
         self._good, self._passed, self._hit = (np.empty(3 * _CHUNK, dtype=bool) for _ in range(3))
 
-    def _draw(self, cfg: SimConfig, trial: int, stream: int, offset: int, count: int) -> np.ndarray:
+    def _draw(self, cfg: SimConfig, trial: int, augmented: bool, offset: int, count: int) -> np.ndarray:
         """``count`` words from word ``offset`` of one trial's stream.
 
         Philox yields words in blocks of four, one counter step each: the
         counter skips the whole blocks, and the rest are drawn and dropped.
         """
         self._key[0] = cfg.seed
-        self._key[1] = (trial << 1) | stream
+        self._key[1] = (trial << 1) | augmented
         self._counter[0] = offset >> 2
         self._bits.state = self._state
         if offset & 3:
@@ -267,7 +265,7 @@ class _Worker:
         survivors = passed.sum(axis=1, dtype=np.uint16) + good_survivors if augmented else items
         return tp, survivors, good_survivors
 
-    def run(self, cfg: SimConfig, trials: range, stream: int, counts: np.ndarray) -> None:
+    def run(self, cfg: SimConfig, trials: range, augmented: bool, counts: np.ndarray) -> None:
         """Write each trial's (true positives, survivors, good survivors) into ``counts[:, t]``.
 
         Trials go a block of ``rows`` at a time, each block a chunk of
@@ -279,8 +277,7 @@ class _Worker:
         starts, every kind m words after the one before, so the chunk reads
         what one ``random_raw(m)`` call from there would return.
         """
-        augmented = stream == _AUGMENTED_STREAM
-        m, kinds, rows, width = _geometry(cfg, stream)
+        m, kinds, rows, width = _geometry(cfg, augmented)
         limits = tuple(_word_limit(p) for p in (cfg.pi, cfg.fpr_m, cfg.tpr_m, cfg.r_v))
         buffer = np.empty(rows * kinds * m if rows > 1 else 0, dtype=np.uint64)
         for first in range(trials.start, trials.stop, rows):
@@ -289,13 +286,13 @@ class _Worker:
             for lo in range(0, m, width):
                 size = min(width, m - lo)
                 if rows > 1:
-                    words = np.concatenate([self._draw(cfg, t, stream, 0, kinds * m) for t in block],
+                    words = np.concatenate([self._draw(cfg, t, augmented, 0, kinds * m) for t in block],
                                            out=buffer[: len(block) * kinds * m])
                     words = words.reshape(len(block), kinds, m).swapaxes(0, 1)
                 elif size == m:
-                    words = self._draw(cfg, first, stream, 0, kinds * m).reshape(kinds, 1, m)
+                    words = self._draw(cfg, first, augmented, 0, kinds * m).reshape(kinds, 1, m)
                 else:
-                    words = [self._draw(cfg, first, stream, kind * m + lo, size)[None]
+                    words = [self._draw(cfg, first, augmented, kind * m + lo, size)[None]
                              for kind in range(kinds)]
                 for total, chunk in zip(sums, self._count(cfg, limits, words, augmented)):
                     total += chunk
@@ -310,16 +307,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _geometry(cfg: SimConfig, stream: int) -> tuple[int, int, int, int]:
+def _geometry(cfg: SimConfig, augmented: bool) -> tuple[int, int, int, int]:
     """A trial's (items, kinds of variate, trials per block, items per chunk).
 
     The kinds are labels, the screener's if augmented and the validator's if
     R_V < 1.  A trial of at most ``_INLINE_DRAWS`` draws is one chunk, as many
-    to a block as the buffer's ``3 * _CHUNK`` doubles hold.  A larger trial is
-    a block alone, in chunks of the buffer's worth of draws: fewer kinds take
+    to a block as the buffer's ``3 * _CHUNK`` words hold.  A larger trial is
+    a block alone, in chunks of the buffer's worth of words: fewer kinds take
     wider chunks.
     """
-    augmented = stream == _AUGMENTED_STREAM
     m = cfg.n_total if augmented else cfg.n
     kinds = 1 + augmented + (cfg.r_v < 1.0)
     if kinds * m <= _INLINE_DRAWS:
@@ -327,49 +323,52 @@ def _geometry(cfg: SimConfig, stream: int) -> tuple[int, int, int, int]:
     return m, kinds, 1, 3 * _CHUNK // kinds
 
 
-def _map_trials(cfg: SimConfig, stream: int, workers: int) -> dict[str, np.ndarray]:
+def _map_trials(cfg: SimConfig, augmented: bool, workers: int) -> dict[str, np.ndarray]:
     """Run every trial of one pipeline's stream; one row per statistic.
 
-    Trials that share blocks run in this thread.  Larger trials are split
-    into at most ``workers`` contiguous runs, one thread each, capped at the
-    trial count and at the CPUs this process may use.  Results land at their
-    trial index, so the output is identical for any worker count or
-    completion order.  Time is charged afterwards, tau_M per item screened and
-    tau_V per item reaching the validator.
+    Trials that share blocks make one run.  Larger trials are split into at
+    most ``workers`` contiguous runs, capped at the trial count and at the
+    CPUs this process may use; the calling thread takes the first run and
+    one thread each of the others.  Results land at their trial index, so the
+    output is identical for any worker count or completion order.  Time is
+    charged afterwards, tau_M per item screened and tau_V per item reaching
+    the validator.
     """
     trials = cfg.trials
     try:
         counts = np.empty((3, trials), dtype=np.float64)
     except MemoryError:
         raise MetricsError(f"trials={trials}: per-trial results do not fit in memory") from None
-    m, _, rows, _ = _geometry(cfg, stream)
-    threads = 1 if rows > 1 else max(1, min(workers, trials, _usable_cpus()))
-    runs = [range(trials * i // threads, trials * (i + 1) // threads) for i in range(threads)]
-    if threads == 1:
-        _Worker().run(cfg, runs[0], stream, counts)
-    else:
-        _run_threads(cfg, stream, runs, counts)
+    m, _, rows, _ = _geometry(cfg, augmented)
+    split = 1 if rows > 1 else max(1, min(workers, trials, _usable_cpus()))
+    runs = [range(trials * i // split, trials * (i + 1) // split) for i in range(split)]
+    _run_threads(cfg, augmented, runs, counts)
     tp, survivors, good_survivors = counts
-    time = (cfg.tau_m if stream == _AUGMENTED_STREAM else 0.0) * m + cfg.tau_v * survivors
+    time = (cfg.tau_m if augmented else 0.0) * m + cfg.tau_v * survivors
     return {"tp": tp, "time": time, "survivors": survivors, "good_survivors": good_survivors}
 
 
-def _run_threads(cfg: SimConfig, stream: int, runs: list[range], counts: np.ndarray) -> None:
-    """Each run of trials in its own thread; the first run's exception, if any, is raised here."""
+def _run_threads(cfg: SimConfig, augmented: bool, runs: list[range], counts: np.ndarray) -> None:
+    """The first run in the calling thread and each other run in a thread of its own.
+
+    Every started thread is joined before this returns or raises, and the
+    first failing run's exception, if any, is raised here.
+    """
     failures: list[Exception | None] = [None] * len(runs)
 
     def work(i: int) -> None:
         try:
-            _Worker().run(cfg, runs[i], stream, counts)
+            _Worker().run(cfg, runs[i], augmented, counts)
         except Exception as exc:  # re-raised in the calling thread below
             failures[i] = exc
 
     started = []
     try:
-        for i in range(len(runs)):
+        for i in range(1, len(runs)):
             thread = threading.Thread(target=work, args=(i,))
             thread.start()
             started.append(thread)
+        work(0)
     finally:
         for thread in started:
             thread.join()
@@ -380,12 +379,12 @@ def _run_threads(cfg: SimConfig, stream: int, runs: list[range], counts: np.ndar
 
 def run_baseline(cfg: SimConfig, workers: int = 1) -> dict[str, np.ndarray]:
     """Validator-only pipeline over n patches, one row per trial."""
-    return _map_trials(cfg, _BASELINE_STREAM, workers)
+    return _map_trials(cfg, False, workers)
 
 
 def run_augmented(cfg: SimConfig, workers: int = 1) -> dict[str, np.ndarray]:
     """Screener-then-validator pipeline over n + delta_n patches."""
-    return _map_trials(cfg, _AUGMENTED_STREAM, workers)
+    return _map_trials(cfg, True, workers)
 
 
 def _margin_verdict(stats: dict[str, Stat]) -> str:

@@ -72,13 +72,13 @@ class TestDeterminism:
         assert not np.array_equal(base["tp"], aug["tp"])
 
 
-def single_shot_trial(cfg, trial, stream):
+def single_shot_trial(cfg, trial, augmented):
     """Reference sampler: one ``random(m)`` call per variate kind."""
-    key = np.array([cfg.seed, (trial << 1) | stream], dtype=np.uint64)
+    key = np.array([cfg.seed, (trial << 1) | augmented], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    m = cfg.n if stream == simulate._BASELINE_STREAM else cfg.n_total
+    m = cfg.n_total if augmented else cfg.n
     good = rng.random(m) < cfg.pi
-    if stream == simulate._BASELINE_STREAM:
+    if not augmented:
         pass_m = np.ones(m, dtype=bool)
     else:
         u_m = rng.random(m)
@@ -160,9 +160,9 @@ class TestChunkedKernel:
             base = run_baseline(cfg, workers=workers)
             aug = run_augmented(cfg, workers=workers)
             for t in range(cfg.trials):
-                tp, _, _ = single_shot_trial(cfg, t, simulate._BASELINE_STREAM)
+                tp, _, _ = single_shot_trial(cfg, t, False)
                 assert base["tp"][t] == tp, r_v
-                tp, surv, good_surv = single_shot_trial(cfg, t, simulate._AUGMENTED_STREAM)
+                tp, surv, good_surv = single_shot_trial(cfg, t, True)
                 got = (aug["tp"][t], aug["survivors"][t], aug["good_survivors"][t])
                 assert got == (tp, surv, good_surv), r_v
 
@@ -176,15 +176,14 @@ class TestChunkedKernel:
     )
     def test_any_size_any_workers_same_arrays(self, n, delta_n, trials, r_v, workers):
         cfg = make_config(n=n, delta_n=delta_n, trials=trials, r_v=r_v)
-        for run, stream in ((run_baseline, simulate._BASELINE_STREAM),
-                            (run_augmented, simulate._AUGMENTED_STREAM)):
+        for run, augmented in ((run_baseline, False), (run_augmented, True)):
             got, want = run(cfg, workers=workers), run(cfg, workers=1)
             assert list(got) == list(want)
             for key in want:
                 np.testing.assert_array_equal(got[key], want[key])
             last = trials - 1  # the last trial may end a partly filled block
             row = (want["tp"][last], want["survivors"][last], want["good_survivors"][last])
-            assert row == single_shot_trial(cfg, last, stream)
+            assert row == single_shot_trial(cfg, last, augmented)
 
     def test_validator_pass_skipped_only_at_full_recall(self, recorded_draws):
         # how far into its stream each trial draws: at R_V = 1 the draws stop
@@ -198,8 +197,8 @@ class TestChunkedKernel:
             compare(cfg)
             want = {}
             for t in range(cfg.trials):
-                want[t << 1 | simulate._BASELINE_STREAM] = (1 + validated) * cfg.n
-                want[t << 1 | simulate._AUGMENTED_STREAM] = (2 + validated) * cfg.n_total
+                want[t << 1 | False] = (1 + validated) * cfg.n
+                want[t << 1 | True] = (2 + validated) * cfg.n_total
             assert ends == want, (items, r_v)
 
     def test_trial_in_one_chunk_takes_one_draw_call(self, recorded_draws):
@@ -207,7 +206,7 @@ class TestChunkedKernel:
         ends, calls = recorded_draws
         cfg = make_config(n=1100, delta_n=0, trials=3, r_v=0.9)
         run_augmented(cfg, workers=2)
-        streams = [t << 1 | simulate._AUGMENTED_STREAM for t in range(cfg.trials)]
+        streams = [t << 1 | True for t in range(cfg.trials)]
         assert calls == dict.fromkeys(streams, 1)
         assert ends == dict.fromkeys(streams, 3 * cfg.n)
 
@@ -225,7 +224,12 @@ class TestChunkedKernel:
         assert peak < 512 * 1024
 
     def test_pool_capped_at_trials_and_cpus(self, monkeypatch):
-        sizes, started = [], []
+        sizes, runs, started = [], [], []
+        run_trials = simulate._Worker.run
+
+        def recording_run(worker, cfg, trials, augmented, counts):
+            runs.append(trials)
+            run_trials(worker, cfg, trials, augmented, counts)
 
         class RecordingThread(threading.Thread):
             def start(self):
@@ -233,25 +237,27 @@ class TestChunkedKernel:
                 super().start()
 
         def run(pipeline, cfg, workers):
+            runs.clear()
             started.clear()
             pipeline(cfg, workers=workers)
-            if started:  # the threads this call started, as one pool
-                sizes.append(len(started))
+            assert sorted(t for r in runs for t in r) == list(range(cfg.trials))  # each trial once
+            assert len(started) == len(runs) - 1  # the calling thread takes the first run
+            sizes.append(len(runs))
 
+        monkeypatch.setattr(simulate._Worker, "run", recording_run)
         monkeypatch.setattr(threading, "Thread", RecordingThread)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         big = dict(n=CHUNK + 1, delta_n=0)  # trials too large to share a block
         run(run_augmented, make_config(trials=5, **big), workers=64)  # capped by CPUs
         run(run_augmented, make_config(trials=2, **big), workers=64)  # capped by trials
         run(run_augmented, make_config(trials=5, **big), workers=2)
-        run(run_augmented, make_config(trials=5, **big), workers=1)  # runs inline
-        assert sizes == [3, 2, 2]
-        # the largest baseline trial that runs in the calling thread, and the
-        # smallest that does not
+        run(run_augmented, make_config(trials=5, **big), workers=1)
+        assert sizes == [3, 2, 2, 1]
+        # the largest baseline trial that shares blocks, and the smallest that does not
         sizes.clear()
         run(run_baseline, make_config(n=INLINE, delta_n=0, trials=5), workers=2)
         run(run_baseline, make_config(n=INLINE + 1, delta_n=0, trials=5), workers=2)
-        assert sizes == [2]
+        assert sizes == [1, 2]
 
     def test_small_trials_start_no_pool(self, monkeypatch):
         cfg = make_config(n=500, delta_n=30, trials=20, r_v=0.9)
@@ -267,21 +273,35 @@ class TestChunkedKernel:
         with pytest.raises(AssertionError, match="thread started"):
             run_augmented(make_config(n=CHUNK + 1, delta_n=0, trials=4), workers=4)
 
-    def test_worker_exception_reaches_caller(self, monkeypatch):
+    @pytest.mark.parametrize("failing,first", [
+        ({1, 2}, 1),  # runs in threads of their own
+        ({0}, 0),  # the calling thread's own run
+        ({0, 1, 2}, 0),
+    ], ids=["thread-runs", "caller-run", "every-run"])
+    def test_worker_exception_reaches_caller(self, monkeypatch, failing, first):
         run = simulate._Worker.run
 
-        def failing_run(worker, cfg, trials, stream, counts):
-            if trials.start:  # every run but the first fails, each in a thread of its own
+        def failing_run(worker, cfg, trials, augmented, counts):
+            # runs of trials 0, 1 and 2-3: run i starts at trial i
+            if trials.start in failing:
                 raise RuntimeError(f"trials from {trials.start}")
-            run(worker, cfg, trials, stream, counts)
+            run(worker, cfg, trials, augmented, counts)
 
         monkeypatch.setattr(simulate._Worker, "run", failing_run)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         before = threading.active_count()
-        # runs of trials 0, 1 and 2-3: the first failing run's exception is raised
-        with pytest.raises(RuntimeError, match="^trials from 1$"):
+        # the first failing run's exception is raised
+        with pytest.raises(RuntimeError, match=f"^trials from {first}$"):
             compare(make_config(n=CHUNK + 1, delta_n=0, trials=4), workers=3)
         assert threading.active_count() == before  # every thread was joined
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # platforms without CPU affinity count every CPU, or one if that is unknown
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
 
 
 def double_passes(word: int, p: float) -> bool:
@@ -348,16 +368,15 @@ class TestSamplerSpec:
     ], ids=["block", "block-full-recall", "chunked", "one-chunk", "last-block-one-trial"])
     def test_counts_match_spec(self, n, delta_n, r_v, trials, layouts, blocks):
         cfg = make_config(n=n, delta_n=delta_n, r_v=r_v, trials=trials, tpr_m=0.3, fpr_m=0.6)
-        for run, stream, layout, block_rows in zip(
-                (run_baseline, run_augmented),
-                (simulate._BASELINE_STREAM, simulate._AUGMENTED_STREAM), layouts, blocks):
-            m, _, per_block, width = simulate._geometry(cfg, stream)
+        for run, augmented, layout, block_rows in zip(
+                (run_baseline, run_augmented), (False, True), layouts, blocks):
+            m, _, per_block, width = simulate._geometry(cfg, augmented)
             assert ("block" if per_block > 1 else "chunk" if width >= m else "chunks") == layout
             assert per_block == block_rows
             got = run(cfg)
             rows = zip(got["tp"], got["survivors"], got["good_survivors"])
             assert [tuple(map(int, row)) for row in rows] == [
-                sampled_trial(cfg, t, stream == simulate._AUGMENTED_STREAM)
+                sampled_trial(cfg, t, augmented)
                 for t in range(trials)]
 
 
