@@ -24,20 +24,21 @@ p, which holds exactly when w < ceil(p * 2**53) << 11: one integer limit per
 probability, computed once per run (``_word_limit``), so every comparison is
 made on the raw words and the seeded counts are those of the doubles.
 
-Memory per run of trials is fixed, whatever n is: at most 3 x 8192 words
-(192 KiB) of draws at a time and three 24 KiB masks.  One loop counts every
-trial, a block of trials and a chunk of items at a time, with one Philox
-re-pointed at the offset where each kind of variate starts (labels at 0,
-screener at m, validator after both).  Philox is counter-based, so any
-offset is reached directly, and each kind's chunks hold exactly the words
-that one ``random_raw(m)`` call from that offset would return: the draw
-layout above is unchanged.  A chunk that holds its whole trial takes all of
-the trial's words in one call.  Trials whose draws fit 2048 words share
-blocks, copied into one buffer of 3 x 8192 words, in the calling thread; a
-larger trial is a block alone, counted straight from its draws in chunks of
-the buffer's worth of words, and only such trials are split into contiguous
-runs of trials: the calling thread takes the first run, and one worker thread
-each of the others.
+A worker holds only its Philox.  What numpy allocates for it does not grow
+with n: one chunk's words at a time, at most 3 x 8192 (192 KiB), plus a
+block's concatenated copy while it is made, plus that chunk's masks.  One
+loop counts every trial, a block of trials and a chunk of items at a time,
+with one Philox re-pointed at the offset where each kind of variate starts
+(labels at 0, screener at m, validator after both).  Philox is
+counter-based, so any offset is reached directly, and each kind's chunks
+hold exactly the words that one ``random_raw(m)`` call from that offset
+would return: the draw layout above is unchanged.  A chunk that holds its
+whole trial takes all of the trial's words in one call.  Trials whose draws
+fit 2048 words share blocks of at most 3 x 8192 words, concatenated from
+their draws, in the calling thread; a larger trial is a block alone,
+counted straight from its draws in chunks of at most 3 x 8192 words, and
+only such trials are split into contiguous runs of trials: the calling
+thread takes the first run, and one worker thread each of the others.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -83,13 +84,13 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
 
 # Items per chunk of a trial that draws all three kinds of variate.  A chunk
-# holds 3 * _CHUNK words (192 KiB), and a trial with fewer kinds takes as many
-# more items per chunk, so the per-chunk re-keys and row sums are paid over
-# more items.
+# holds at most 3 * _CHUNK words (192 KiB), as does a block of trials that
+# share one chunk, and a trial with fewer kinds takes as many more items per
+# chunk, so the per-chunk re-keys and row sums are paid over more items.
 _CHUNK = 1 << 13
 
-# Trials of at most this many words share blocks, twelve or more to the
-# buffer's 3 * _CHUNK words, and run in the calling thread: their re-keys
+# Trials of at most this many words share blocks, twelve or more to a
+# block's 3 * _CHUNK words, and run in the calling thread: their re-keys
 # and short numpy calls hold the GIL, and on a 2-vCPU VM a second thread did
 # not make them faster.  From about 2,700 items per trial a second thread made
 # trials up to 1.2-1.5x as fast, and a trial of that size alone in its block
@@ -194,16 +195,36 @@ def _word_limit(p: float) -> int:
     return math.ceil(p * 2**53) << 11
 
 
-def _below(words: np.ndarray, limit: int, out: np.ndarray) -> None:
-    """``out = words < limit``, in uint64: no word is ever widened to a double."""
+def _below(words: np.ndarray, limit: int) -> np.ndarray:
+    """The mask ``words < limit``, in uint64: no word is ever widened to a double."""
     if limit == 1 << 64:  # past uint64; every word is below it
-        out.fill(True)
-    else:
-        np.less(words, np.uint64(limit), out=out)
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(limit)
+
+
+def _count(cfg: SimConfig, limits: tuple, words, augmented: bool) -> tuple:
+    """Per-row (true positives, survivors, good survivors) of one chunk's words.
+
+    ``words[k]`` is a (rows, items) array of kind k: labels, then the
+    screener's words if ``augmented``, then the validator's if R_V < 1.
+    ``limits`` are the word limits of (pi, F_M, R_M, R_V).  Without a
+    screener all items reach the validator.  A row holds at most
+    ``3 * _CHUNK`` items, so its counts fit 16 bits.
+    """
+    pi, fpr_m, tpr_m, r_v = limits
+    good = _below(words[0], pi)
+    if augmented:
+        passed = _below(words[1], fpr_m) > good  # bad items passed
+        good &= _below(words[1], tpr_m)
+    tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
+    if cfg.r_v < 1.0:
+        tp = (_below(words[-1], r_v) & good).sum(axis=1, dtype=np.uint16)
+    survivors = passed.sum(axis=1, dtype=np.uint16) + good_survivors if augmented else good.shape[1]
+    return tp, survivors, good_survivors
 
 
 class _Worker:
-    """One run's Philox and masks, reused by each of its trials.
+    """One run's Philox, re-keyed for each of its trials; it holds no array.
 
     Re-keying the Philox through its state gives the stream a fresh
     ``Philox(key=...)`` would, without constructing a generator per trial.
@@ -222,7 +243,6 @@ class _Worker:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._good, self._passed, self._hit = (np.empty(3 * _CHUNK, dtype=bool) for _ in range(3))
 
     def _draw(self, cfg: SimConfig, trial: int, augmented: bool, offset: int, count: int) -> np.ndarray:
         """``count`` words from word ``offset`` of one trial's stream.
@@ -238,40 +258,13 @@ class _Worker:
             self._bits.random_raw(offset & 3, output=False)
         return self._bits.random_raw(count)
 
-    def _count(self, cfg: SimConfig, limits: tuple, words, augmented: bool) -> tuple:
-        """Per-row (true positives, survivors, good survivors) of one chunk's words.
-
-        ``words[k]`` is a (rows, items) array of kind k: labels, then the
-        screener's words if ``augmented``, then the validator's if R_V < 1.
-        ``limits`` are the word limits of (pi, F_M, R_M, R_V).  Without a
-        screener all items reach the validator.  A row holds at most
-        ``3 * _CHUNK`` items, so its counts fit 16 bits.
-        """
-        pi, fpr_m, tpr_m, r_v = limits
-        rows, items = words[0].shape
-        good, passed, hit = (mask[: rows * items].reshape(rows, items)
-                             for mask in (self._good, self._passed, self._hit))
-        _below(words[0], pi, good)
-        if augmented:
-            _below(words[1], fpr_m, passed)
-            np.greater(passed, good, out=passed)  # bad items passed
-            _below(words[1], tpr_m, hit)
-            good &= hit
-        tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
-        if cfg.r_v < 1.0:
-            _below(words[-1], r_v, hit)
-            hit &= good
-            tp = hit.sum(axis=1, dtype=np.uint16)
-        survivors = passed.sum(axis=1, dtype=np.uint16) + good_survivors if augmented else items
-        return tp, survivors, good_survivors
-
     def run(self, cfg: SimConfig, trials: range, augmented: bool, counts: np.ndarray) -> None:
         """Write each trial's (true positives, survivors, good survivors) into ``counts[:, t]``.
 
         Trials go a block of ``rows`` at a time, each block a chunk of
-        ``width`` items at a time, one :meth:`_count` per chunk.  A chunk that
+        ``width`` items at a time, one :func:`_count` per chunk.  A chunk that
         covers its whole trial takes one draw call from the start of the
-        stream; trials that share a block are copied into one buffer by one
+        stream; the draws of trials that share a block are joined by one
         ``np.concatenate``, and a trial alone in its block is counted from
         its draws.  Otherwise each kind of word is drawn from where that kind
         starts, every kind m words after the one before, so the chunk reads
@@ -279,22 +272,19 @@ class _Worker:
         """
         m, kinds, rows, width = _geometry(cfg, augmented)
         limits = tuple(_word_limit(p) for p in (cfg.pi, cfg.fpr_m, cfg.tpr_m, cfg.r_v))
-        buffer = np.empty(rows * kinds * m if rows > 1 else 0, dtype=np.uint64)
         for first in range(trials.start, trials.stop, rows):
             block = range(first, min(first + rows, trials.stop))
             sums = np.zeros((3, len(block)), dtype=np.int64)
             for lo in range(0, m, width):
                 size = min(width, m - lo)
-                if rows > 1:
-                    words = np.concatenate([self._draw(cfg, t, augmented, 0, kinds * m) for t in block],
-                                           out=buffer[: len(block) * kinds * m])
+                if size == m:
+                    words = [self._draw(cfg, t, augmented, 0, kinds * m) for t in block]
+                    words = words[0] if len(words) == 1 else np.concatenate(words)
                     words = words.reshape(len(block), kinds, m).swapaxes(0, 1)
-                elif size == m:
-                    words = self._draw(cfg, first, augmented, 0, kinds * m).reshape(kinds, 1, m)
                 else:
                     words = [self._draw(cfg, first, augmented, kind * m + lo, size)[None]
                              for kind in range(kinds)]
-                for total, chunk in zip(sums, self._count(cfg, limits, words, augmented)):
+                for total, chunk in zip(sums, _count(cfg, limits, words, augmented)):
                     total += chunk
                 del words  # before the next chunk's draws: one chunk's words at a time
             counts[:, first:block.stop] = sums
@@ -312,9 +302,9 @@ def _geometry(cfg: SimConfig, augmented: bool) -> tuple[int, int, int, int]:
 
     The kinds are labels, the screener's if augmented and the validator's if
     R_V < 1.  A trial of at most ``_INLINE_DRAWS`` draws is one chunk, as many
-    to a block as the buffer's ``3 * _CHUNK`` words hold.  A larger trial is
-    a block alone, in chunks of the buffer's worth of words: fewer kinds take
-    wider chunks.
+    to a block as ``3 * _CHUNK`` words hold.  A larger trial is a block
+    alone, in chunks of at most ``3 * _CHUNK`` words: fewer kinds take wider
+    chunks.
     """
     m = cfg.n_total if augmented else cfg.n
     kinds = 1 + augmented + (cfg.r_v < 1.0)
@@ -337,7 +327,7 @@ def _map_trials(cfg: SimConfig, augmented: bool, workers: int) -> dict[str, np.n
     trials = cfg.trials
     try:
         counts = np.empty((3, trials), dtype=np.float64)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
         raise MetricsError(f"trials={trials}: per-trial results do not fit in memory") from None
     m, _, rows, _ = _geometry(cfg, augmented)
     split = 1 if rows > 1 else max(1, min(workers, trials, _usable_cpus()))

@@ -8,8 +8,9 @@ Draws argvs over all five subcommands, the three formats and generated
 catalog files, with flag values that are valid, zero, negative, huge
 (+-1e300, +-1e308), subnormal (1e-320) or not numbers at all.  ``simulate``
 always gets ``--n`` <= 50 and ``--trials`` <= 3, apart from counts that are
-rejected before anything is allocated (n >= 2**63, n <= 0, or an extra
-volume of +-1e300 or +-1e308 times n), so no draw can allocate a large array.
+rejected before anything is allocated (n >= 2**63, n <= 0, an extra volume
+of +-1e300 or +-1e308 times n, or 2**62 trials, whose per-trial rows numpy
+refuses to size), so no draw can allocate a large array.
 """
 
 import contextlib
@@ -78,7 +79,7 @@ SUBCOMMANDS = {
         # never left out: the defaults are far above the size cap
         "n": (["1", "20", "50"], ["0", "-5", str(2**63), "1" + "0" * 400, "-1" + "0" * 400,
                                   "abc"]),
-        "trials": (["2", "3"], ["1", "-1", str(2**63), "abc"]),
+        "trials": (["2", "3"], ["1", "-1", str(2**62), str(2**63), "abc"]),
     },
     "reproduce": {},
 }
@@ -129,9 +130,11 @@ def test_inversion_error_names_the_row(catalog_files, capsys, kind, message, arg
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-# the only exit-3 messages that may follow sampling
+# the only exit-3 messages that may follow a call to compare: what only a
+# sample can reveal, and per-trial rows that cannot be allocated before it
 AFTER_SAMPLING = (f"error: {sim.NOTHING_SURVIVES}\n",
-                  "error: a result is not a finite number; inputs too large\n")
+                  "error: a result is not a finite number; inputs too large\n",
+                  f"error: trials={2**62}: per-trial results do not fit in memory\n")
 
 # a NaN or infinity printed as a table or csv cell
 NON_FINITE = re.compile(r"(?<![\w.])-?(nan|inf|infinity)(?![\w.])", re.IGNORECASE)
@@ -147,6 +150,9 @@ def _not_strict_json(token):
                "--delta-ratio=1e300", "--trials=2", "--format=json"])
 @example(argv=["simulate", "--model=VulDeePecker", "--pi=0.38", "--tau-v=600", "--n=10",
                "--delta-ratio=-1e308", "--trials=2", "--format=json"])
+# more bytes of per-trial rows than numpy can address
+@example(argv=["simulate", "--model=VulDeePecker", "--pi=0.38", "--tau-v=600", "--n=10",
+               f"--trials={2**62}", "--format=json"])
 # finite times whose squared deviations overflow the standard error to inf
 @example(argv=["simulate", "--model=VulDeePecker", "--pi=0.38", "--tau-v=1e300", "--n=50",
                "--trials=3", "--format=csv"])

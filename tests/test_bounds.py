@@ -190,10 +190,12 @@ class TestEvaluate:
             max_model_time(300.0, VDP_R_M, VDP_P_M, 0.38, -0.1)
 
     def test_precision_above_one_rejected(self):
-        with pytest.raises(MetricsError, match=r"p_m must be in \(0, 1\], got 1.5"):
-            max_model_time(300.0, VDP_R_M, 1.5, 0.38)
-        with pytest.raises(MetricsError, match=r"p_m must be in \(0, 1\], got 1.5"):
-            min_validator_time(10.0, VDP_R_M, 1.5, 0.38)
+        # and P_M = 0, which the CLI's inversion rejects before these are reached
+        for p_m in (1.5, 0.0):
+            with pytest.raises(MetricsError, match=rf"p_m must be in \(0, 1\], got {p_m}"):
+                max_model_time(300.0, VDP_R_M, p_m, 0.38)
+            with pytest.raises(MetricsError, match=rf"p_m must be in \(0, 1\], got {p_m}"):
+                min_validator_time(10.0, VDP_R_M, p_m, 0.38)
 
     def test_overflowed_figures_rejected(self):
         # both times overflow to inf and would tie as a boundary

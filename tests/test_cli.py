@@ -551,6 +551,14 @@ class TestSimulate:
             "error: trials=1000000000000: per-trial results do not fit in memory\n"
         )
 
+    @pytest.mark.parametrize("trials", [4 * 10**17, 2**63 - 1])
+    def test_unaddressable_trials_exit_3(self, capsys, trials):
+        # more bytes of per-trial rows than numpy can address: it refuses to
+        # size the array before allocating anything, so this runs in process
+        got = run_cli(capsys, "simulate", "--model", "VulDeePecker", "--pi", "0.38",
+                      "--tau-v", "600", "--n", "10", "--trials", str(trials))
+        assert got == (3, "", f"error: trials={trials}: per-trial results do not fit in memory\n")
+
     def test_echoes_precision_mode_used(self, capsys):
         # without --model there is no published P_M: the consistent one is used
         code, doc, _ = run_json(

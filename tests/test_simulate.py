@@ -210,10 +210,12 @@ class TestChunkedKernel:
         assert calls == dict.fromkeys(streams, 1)
         assert ends == dict.fromkeys(streams, 3 * cfg.n)
 
-    @pytest.mark.parametrize("n", [2**10, 2**20])
-    def test_memory_does_not_grow_with_n(self, n):
-        # a worker holds fixed chunk buffers, never a buffer of n items
-        cfg = make_config(n=n, delta_n=0, trials=2, r_v=0.9)
+    # trials that share blocks, a trial alone in one chunk, and a chunked trial
+    @pytest.mark.parametrize("n,trials", [(500, 200), (2**10, 2), (2**20, 2)],
+                             ids=["500", "1024", "1048576"])
+    def test_memory_does_not_grow_with_n(self, n, trials):
+        # what a worker allocates is bounded by a chunk's size, never by n
+        cfg = make_config(n=n, delta_n=0, trials=trials, r_v=0.9)
         run_augmented(make_config(n=10, trials=2))  # one-time module set-up, untraced
         tracemalloc.start()
         try:
@@ -326,8 +328,7 @@ class TestWordLimit:
     def test_edges(self, p, limit):
         assert simulate._word_limit(p) == limit
         words = [w for w in (limit - 1, limit) if 0 <= w < 2**64]
-        passes = np.empty(len(words), dtype=bool)
-        simulate._below(np.array(words, dtype=np.uint64), limit, passes)
+        passes = simulate._below(np.array(words, dtype=np.uint64), limit)
         assert passes.tolist() == [double_passes(w, p) for w in words] == [w < limit for w in words]
 
     @given(
@@ -338,8 +339,7 @@ class TestWordLimit:
     def test_limit_is_the_double_rule(self, p, words, near):
         limit = simulate._word_limit(p)
         words += [w for w in (limit + d for d in near) if 0 <= w < 2**64]
-        passes = np.empty(len(words), dtype=bool)
-        simulate._below(np.array(words, dtype=np.uint64), limit, passes)
+        passes = simulate._below(np.array(words, dtype=np.uint64), limit)
         assert passes.tolist() == [double_passes(w, p) for w in words]
 
 
