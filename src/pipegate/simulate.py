@@ -24,21 +24,22 @@ p, which holds exactly when w < ceil(p * 2**53) << 11: one integer limit per
 probability, computed once per run (``_word_limit``), so every comparison is
 made on the raw words and the seeded counts are those of the doubles.
 
-A worker holds only its Philox.  What numpy allocates for it does not grow
-with n: one chunk's words at a time, at most 3 x 8192 (192 KiB), plus a
-block's concatenated copy while it is made, plus that chunk's masks.  One
-loop counts every trial, a block of trials and a chunk of items at a time,
-with one Philox re-pointed at the offset where each kind of variate starts
-(labels at 0, screener at m, validator after both).  Philox is
+A worker holds only its Philox, and what numpy allocates for it does not
+grow with n.  A trial of at most 3 x 8192 words (192 KiB) takes them all in
+one call from the start of its stream.  Trials of at most 6144 words share
+blocks of at most 3 x 8192 words, concatenated from their draws, and run in
+the calling thread.  A larger trial is a block alone, and only such trials
+are split into contiguous runs of trials: the calling thread takes the
+first run, and one worker thread each of the others.  A trial of more than
+3 x 8192 words is counted in chunks of 32768 items, one kind of variate at
+a time, with one Philox re-pointed at the offset where each kind starts
+(labels at 0, screener at m, validator after both).  A chunk's label words
+become its mask of good items before its screener words are drawn, and
+those are counted before its validator words are drawn, so one kind's
+32768 words (256 KiB) exist at a time, plus the chunk's masks.  Philox is
 counter-based, so any offset is reached directly, and each kind's chunks
 hold exactly the words that one ``random_raw(m)`` call from that offset
-would return: the draw layout above is unchanged.  A chunk that holds its
-whole trial takes all of the trial's words in one call.  Trials whose draws
-fit 2048 words share blocks of at most 3 x 8192 words, concatenated from
-their draws, in the calling thread; a larger trial is a block alone,
-counted straight from its draws in chunks of at most 3 x 8192 words, and
-only such trials are split into contiguous runs of trials: the calling
-thread takes the first run, and one worker thread each of the others.
+would return: the draw layout above is unchanged.
 
 Within a trial the two filters share nothing, but a single item's screener
 draw is a common random number across configs: raising the screener TPR can
@@ -83,19 +84,23 @@ __all__ = [
 VERDICT_INCONCLUSIVE = "inconclusive"
 NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
 
-# Items per chunk of a trial that draws all three kinds of variate.  A chunk
-# holds at most 3 * _CHUNK words (192 KiB), as does a block of trials that
-# share one chunk, and a trial with fewer kinds takes as many more items per
-# chunk, so the per-chunk re-keys and row sums are paid over more items.
+# A trial of at most 3 * _CHUNK words (192 KiB) takes them in one draw call,
+# and the trials that share a block hold at most that many words between
+# them, so a block's row counts fit 16 bits.
 _CHUNK = 1 << 13
 
-# Trials of at most this many words share blocks, twelve or more to a
-# block's 3 * _CHUNK words, and run in the calling thread: their re-keys
-# and short numpy calls hold the GIL, and on a 2-vCPU VM a second thread did
-# not make them faster.  From about 2,700 items per trial a second thread made
-# trials up to 1.2-1.5x as fast, and a trial of that size alone in its block
-# drew about 10% slower there.
-_INLINE_DRAWS = _CHUNK // 4
+# Items per chunk of a trial too large for one draw, whatever its kinds of
+# variate: each kind's words are drawn and counted before the next kind's,
+# so a chunk holds one kind's 1 << 15 words (256 KiB) at a time, and a
+# trial at the CLI-default n = 1e5 takes 4 chunks, one call per kind each.
+_WIDTH = 1 << 15
+
+# Trials of at most this many words share blocks, four or more to a block's
+# 3 * _CHUNK words, and run in the calling thread: their re-keys and short
+# numpy calls hold the GIL.  On a 2-vCPU VM a second thread took 1.1-1.9x
+# the time of one for trials of 3,000 to 6,000 words alone in their blocks,
+# and 0.7-0.85x for trials of 8,000 to 9,000 words.
+_INLINE_DRAWS = 3 * _CHUNK // 4
 
 
 @dataclass(frozen=True)
@@ -202,25 +207,34 @@ def _below(words: np.ndarray, limit: int) -> np.ndarray:
     return words < np.uint64(limit)
 
 
-def _count(cfg: SimConfig, limits: tuple, words, augmented: bool) -> tuple:
-    """Per-row (true positives, survivors, good survivors) of one chunk's words.
+def _count(cfg: SimConfig, limits: tuple, words, augmented: bool, total) -> tuple:
+    """(true positives, survivors, good survivors) of one chunk, each summed by ``total``.
 
-    ``words[k]`` is a (rows, items) array of kind k: labels, then the
-    screener's words if ``augmented``, then the validator's if R_V < 1.
-    ``limits`` are the word limits of (pi, F_M, R_M, R_V).  Without a
-    screener all items reach the validator.  A row holds at most
-    ``3 * _CHUNK`` items, so its counts fit 16 bits.
+    ``words(k)`` returns the chunk's words of kind k: labels, then the
+    screener's if ``augmented``, then the validator's if R_V < 1.  Each kind
+    is asked for once, in that order, and dropped once its masks are made,
+    so a caller that draws a kind when asked holds one kind's words at a
+    time.  ``limits`` are the word limits of (pi, F_M, R_M, R_V).  ``total``
+    counts a mask's items over its last axis.  Without a screener all items
+    reach the validator.
     """
     pi, fpr_m, tpr_m, r_v = limits
-    good = _below(words[0], pi)
+    good = _below(words(0), pi)
     if augmented:
-        passed = _below(words[1], fpr_m) > good  # bad items passed
-        good &= _below(words[1], tpr_m)
-    tp = good_survivors = good.sum(axis=1, dtype=np.uint16)
+        screener = words(1)
+        passed = _below(screener, fpr_m) > good  # bad items passed
+        good &= _below(screener, tpr_m)
+        del screener
+    tp = good_survivors = total(good)
     if cfg.r_v < 1.0:
-        tp = (_below(words[-1], r_v) & good).sum(axis=1, dtype=np.uint16)
-    survivors = passed.sum(axis=1, dtype=np.uint16) + good_survivors if augmented else good.shape[1]
+        tp = total(_below(words(1 + augmented), r_v) & good)
+    survivors = total(passed) + good_survivors if augmented else good.shape[-1]
     return tp, survivors, good_survivors
+
+
+def _row_sums(mask: np.ndarray) -> np.ndarray:
+    """Items per row of a block's mask; a block holds at most ``3 * _CHUNK`` words, so they fit 16 bits."""
+    return mask.sum(axis=1, dtype=np.uint16)
 
 
 class _Worker:
@@ -261,33 +275,35 @@ class _Worker:
     def run(self, cfg: SimConfig, trials: range, augmented: bool, counts: np.ndarray) -> None:
         """Write each trial's (true positives, survivors, good survivors) into ``counts[:, t]``.
 
-        Trials go a block of ``rows`` at a time, each block a chunk of
-        ``width`` items at a time, one :func:`_count` per chunk.  A chunk that
-        covers its whole trial takes one draw call from the start of the
-        stream; the draws of trials that share a block are joined by one
-        ``np.concatenate``, and a trial alone in its block is counted from
-        its draws.  Otherwise each kind of word is drawn from where that kind
-        starts, every kind m words after the one before, so the chunk reads
-        what one ``random_raw(m)`` call from there would return.
+        A trial of at most ``3 * _CHUNK`` words takes one draw call from the
+        start of its stream.  The draws of trials that share a block are
+        joined by one ``np.concatenate``, and one :func:`_count` takes a
+        block's row sums.  A larger trial is counted ``width`` items at a
+        time, one kind of word at a time, each chunk's masks counted into
+        plain ints: each kind is drawn from where that kind starts, every
+        kind m words after the one before, so the chunk reads what one
+        ``random_raw(m)`` call from there would return.
         """
         m, kinds, rows, width = _geometry(cfg, augmented)
         limits = tuple(_word_limit(p) for p in (cfg.pi, cfg.fpr_m, cfg.tpr_m, cfg.r_v))
+        if kinds * width > 3 * _CHUNK:  # more words than one draw takes
+            counts[:, trials.start:trials.stop] = 0
+            for t in trials:
+                for lo in range(0, m, width):
+                    size = min(width, m - lo)
+                    counts[:, t] += _count(
+                        cfg, limits, lambda kind: self._draw(cfg, t, augmented, kind * m + lo, size),
+                        augmented, np.count_nonzero)
+            return
         for first in range(trials.start, trials.stop, rows):
             block = range(first, min(first + rows, trials.stop))
-            sums = np.zeros((3, len(block)), dtype=np.int64)
-            for lo in range(0, m, width):
-                size = min(width, m - lo)
-                if size == m:
-                    words = [self._draw(cfg, t, augmented, 0, kinds * m) for t in block]
-                    words = words[0] if len(words) == 1 else np.concatenate(words)
-                    words = words.reshape(len(block), kinds, m).swapaxes(0, 1)
-                else:
-                    words = [self._draw(cfg, first, augmented, kind * m + lo, size)[None]
-                             for kind in range(kinds)]
-                for total, chunk in zip(sums, _count(cfg, limits, words, augmented)):
-                    total += chunk
-                del words  # before the next chunk's draws: one chunk's words at a time
-            counts[:, first:block.stop] = sums
+            words = [self._draw(cfg, t, augmented, 0, kinds * m) for t in block]
+            words = words[0] if len(words) == 1 else np.concatenate(words)
+            words = words.reshape(len(block), kinds, m).swapaxes(0, 1)
+            for row, chunk in zip(counts[:, first:block.stop],
+                                  _count(cfg, limits, words.__getitem__, augmented, _row_sums)):
+                row[:] = chunk
+            del words  # before the next block's draws: one block's words at a time
 
 
 def _usable_cpus() -> int:
@@ -303,14 +319,14 @@ def _geometry(cfg: SimConfig, augmented: bool) -> tuple[int, int, int, int]:
     The kinds are labels, the screener's if augmented and the validator's if
     R_V < 1.  A trial of at most ``_INLINE_DRAWS`` draws is one chunk, as many
     to a block as ``3 * _CHUNK`` words hold.  A larger trial is a block
-    alone, in chunks of at most ``3 * _CHUNK`` words: fewer kinds take wider
-    chunks.
+    alone: one chunk if it has at most ``3 * _CHUNK`` words, or else chunks
+    of ``_WIDTH`` items, whatever its kinds.
     """
     m = cfg.n_total if augmented else cfg.n
     kinds = 1 + augmented + (cfg.r_v < 1.0)
     if kinds * m <= _INLINE_DRAWS:
         return m, kinds, 3 * _CHUNK // (kinds * m), m
-    return m, kinds, 1, 3 * _CHUNK // kinds
+    return m, kinds, 1, (m if kinds * m <= 3 * _CHUNK else _WIDTH)
 
 
 def _map_trials(cfg: SimConfig, augmented: bool, workers: int) -> dict[str, np.ndarray]:

@@ -94,11 +94,16 @@ def single_shot_trial(cfg, trial, augmented):
 
 CHUNK = simulate._CHUNK
 INLINE = simulate._INLINE_DRAWS
+WIDTH = simulate._WIDTH
 
 
 @pytest.fixture
 def recorded_draws(monkeypatch):
-    """Per stream key, how far into the stream each worker drew, and its ``random_raw`` calls."""
+    """Per stream key, how far into the stream each worker drew, and the sizes of its draw calls.
+
+    A draw call is a ``random_raw`` call that returns its words; the calls
+    that skip into a block of four are not listed.
+    """
     ends, calls = {}, {}
     init = simulate._Worker.__init__
 
@@ -121,7 +126,8 @@ def recorded_draws(monkeypatch):
             end = 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
             stream = int(state["state"]["key"][1])
             ends[stream] = max(ends.get(stream, 0), end)
-            calls[stream] = calls.get(stream, 0) + 1
+            if output:
+                calls.setdefault(stream, []).append(size)
             return words
 
     def recording_init(worker):
@@ -139,14 +145,21 @@ class TestChunkedKernel:
         # to 3 (augmented at R_V < 1): the largest trial of each kinds that
         # shares a block in the calling thread, and the smallest that does not
         INLINE, INLINE + 1, INLINE // 2, INLINE // 2 + 1, INLINE // 3, INLINE // 3 + 1,
-        # 17 trials are not a multiple of the trials per block (13, 6 or 4) here
+        # 17 trials are not a multiple of 13, the trials per block at 3 kinds
         600,
-        # a trial of fewer kinds takes wider chunks, 3 * CHUNK // kinds items:
-        # around each width.  At 3 kinds, CHUNK + 1 above ends on a 1-item
-        # chunk whose screener and validator variates start 1 and 2 draws
-        # into a Philox block of four, more draws than the chunk holds
+        # trials of 2 and 3 kinds at and just past 2,048 words (INLINE // 3
+        # is the 1-kind one), twelve and eleven to a block: 17 trials end on
+        # a partly filled block
+        2048 // 2, 2048 // 2 + 1, 2048 // 3, 2048 // 3 + 1,
+        # the largest trial of each kinds that takes one draw call,
+        # 3 * CHUNK // kinds items, and the smallest counted a kind at a time
         3 * CHUNK // 2 - 1, 3 * CHUNK // 2, 3 * CHUNK // 2 + 1,
         3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1,
+        # a trial counted a kind at a time takes chunks of WIDTH items: around
+        # one and two chunks.  At 3 kinds, 2 * WIDTH + 1 ends on a 1-item
+        # chunk whose screener and validator variates start 1 and 2 draws
+        # into a Philox block of four, more draws than the chunk holds
+        WIDTH - 1, WIDTH, WIDTH + 1, 2 * WIDTH + 1,
     ])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_single_shot_reference(self, items, workers):
@@ -191,7 +204,7 @@ class TestChunkedKernel:
         ends, _ = recorded_draws
         # small trials take one draw each, and trials above a chunk a chunk at a time
         for items, (r_v, validated) in itertools.product(
-                (100, CHUNK + 1), ((1.0, 0), (0.9, 1))):
+                (100, WIDTH + 1), ((1.0, 0), (0.9, 1))):
             ends.clear()
             cfg = make_config(n=items, delta_n=10, trials=3, r_v=r_v)
             compare(cfg)
@@ -202,20 +215,46 @@ class TestChunkedKernel:
             assert ends == want, (items, r_v)
 
     def test_trial_in_one_chunk_takes_one_draw_call(self, recorded_draws):
-        # 3,300 draws: above the trials that share a block, inside one chunk
+        # 12,000 draws: above the trials that share a block, inside one chunk
         ends, calls = recorded_draws
-        cfg = make_config(n=1100, delta_n=0, trials=3, r_v=0.9)
+        cfg = make_config(n=4000, delta_n=0, trials=3, r_v=0.9)
         run_augmented(cfg, workers=2)
         streams = [t << 1 | True for t in range(cfg.trials)]
-        assert calls == dict.fromkeys(streams, 1)
+        assert calls == dict.fromkeys(streams, [3 * cfg.n])
         assert ends == dict.fromkeys(streams, 3 * cfg.n)
 
-    # trials that share blocks, a trial alone in one chunk, and a chunked trial
-    @pytest.mark.parametrize("n,trials", [(500, 200), (2**10, 2), (2**20, 2)],
-                             ids=["500", "1024", "1048576"])
-    def test_memory_does_not_grow_with_n(self, n, trials):
+    @pytest.mark.parametrize("items", [
+        # around the largest trial that takes one draw call at 3, 2 and 1
+        # kinds, and a trial of three chunks
+        CHUNK, CHUNK + 1, 3 * CHUNK // 2, 3 * CHUNK // 2 + 1, 3 * CHUNK, 3 * CHUNK + 1,
+        2 * WIDTH + 1,
+    ])
+    def test_draw_calls_per_trial(self, recorded_draws, items):
+        # a trial of at most 3 * CHUNK words takes them in one call; a larger
+        # one takes each kind in ceil(m / WIDTH) calls of at most WIDTH
+        # words, a chunk's kinds in order
+        _, calls = recorded_draws
+        for r_v in (0.9, 1.0):
+            calls.clear()
+            cfg = make_config(n=items, delta_n=0, trials=2, r_v=r_v)
+            compare(cfg, workers=2)
+            want = {}
+            for t, augmented in itertools.product(range(cfg.trials), (False, True)):
+                kinds = 1 + augmented + (r_v < 1.0)
+                want[t << 1 | augmented] = (
+                    [kinds * items] if kinds * items <= 3 * CHUNK
+                    else [min(WIDTH, items - lo) for lo in range(0, items, WIDTH)
+                          for _ in range(kinds)])
+            assert calls == want, r_v
+
+    # trials that share blocks, a trial alone in one draw, and a trial
+    # counted a kind at a time, at 3 kinds and at 2
+    @pytest.mark.parametrize("n,trials,r_v", [
+        (500, 200, 0.9), (2**12, 2, 0.9), (2**20, 2, 0.9), (2**20, 2, 1.0),
+    ], ids=["500", "4096", "1048576", "1048576-full-recall"])
+    def test_memory_does_not_grow_with_n(self, n, trials, r_v):
         # what a worker allocates is bounded by a chunk's size, never by n
-        cfg = make_config(n=n, delta_n=0, trials=trials, r_v=0.9)
+        cfg = make_config(n=n, delta_n=0, trials=trials, r_v=r_v)
         run_augmented(make_config(n=10, trials=2))  # one-time module set-up, untraced
         tracemalloc.start()
         try:
@@ -357,15 +396,19 @@ class TestSamplerSpec:
     @pytest.mark.parametrize("n,delta_n,r_v,trials,layouts,blocks", [
         (200, 40, 0.9, 3, ("block", "block"), (61, 34)),
         (200, 40, 1.0, 3, ("block", "block"), (122, 51)),
-        # 2 * 1,100 baseline draws in one chunk, and 8,193 augmented items at
+        # 2 * 3,500 baseline draws in one call, and 32,769 augmented items at
         # 3 kinds, which end on a 1-item chunk
-        (1100, 7093, 0.9, 2, ("chunk", "chunks"), (1, 1)),
-        # 2,200 and 3,300 draws: too many to share a block, one chunk each
-        (1100, 0, 0.9, 2, ("chunk", "chunk"), (1, 1)),
-        # 1,024 and 2,048 draws fill the buffer at 24 and 12 trials to a
+        (3500, 29269, 0.9, 2, ("chunk", "chunks"), (1, 1)),
+        # 10,000 and 15,000 draws: too many to share a block, one call each
+        (5000, 0, 0.9, 2, ("chunk", "chunk"), (1, 1)),
+        # 1,024 and 2,048 draws fill a block at 24 and 12 trials to a
         # block, so the last block of each stream holds one trial
         (1024, 0, 1.0, 25, ("block", "block"), (24, 12)),
-    ], ids=["block", "block-full-recall", "chunked", "one-chunk", "last-block-one-trial"])
+        # 1 and 2 kinds counted a kind at a time, in chunks of WIDTH items
+        # and a last chunk of 7,232, as at the CLI-default R_V = 1
+        (40_000, 0, 1.0, 2, ("chunks", "chunks"), (1, 1)),
+    ], ids=["block", "block-full-recall", "chunked", "one-chunk", "last-block-one-trial",
+            "chunked-full-recall"])
     def test_counts_match_spec(self, n, delta_n, r_v, trials, layouts, blocks):
         cfg = make_config(n=n, delta_n=delta_n, r_v=r_v, trials=trials, tpr_m=0.3, fpr_m=0.6)
         for run, augmented, layout, block_rows in zip(
