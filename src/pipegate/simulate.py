@@ -25,14 +25,14 @@ probability, computed once per run (``_word_limit``), so every comparison is
 made on the raw words and the seeded counts are those of the doubles.
 
 A worker holds only its Philox, and what numpy allocates for it does not
-grow with n.  A trial of at most 3 x 8192 words (192 KiB) takes them all in
-one call from the start of its stream.  Trials of at most 6144 words share
-blocks of at most 3 x 8192 words, concatenated from their draws, and run in
+grow with n.  Trials of at most 6144 words share blocks of at most
+3 x 8192 words (192 KiB): each takes its words in one call from the start
+of its stream, the block is concatenated from their draws, and it runs in
 the calling thread.  A larger trial is a block alone, and only such trials
 are split into contiguous runs of trials: the calling thread takes the
-first run, and one worker thread each of the others.  A trial of more than
-3 x 8192 words is counted in chunks of 32768 items, one kind of variate at
-a time, with one Philox re-pointed at the offset where each kind starts
+first run, and one worker thread each of the others.  A trial alone in its
+block is counted in chunks of 32768 items, one kind of variate at a time,
+with one Philox re-pointed at the offset where each kind starts
 (labels at 0, screener at m, validator after both).  A chunk's label words
 become its mask of good items before its screener words are drawn, and
 those are counted before its validator words are drawn, so one kind's
@@ -84,12 +84,11 @@ __all__ = [
 VERDICT_INCONCLUSIVE = "inconclusive"
 NOTHING_SURVIVES = "screener passed nothing in every trial; precision undefined"
 
-# A trial of at most 3 * _CHUNK words (192 KiB) takes them in one draw call,
-# and the trials that share a block hold at most that many words between
-# them, so a block's row counts fit 16 bits.
+# The trials that share a block hold at most 3 * _CHUNK words (192 KiB)
+# between them, so a block's row counts fit 16 bits.
 _CHUNK = 1 << 13
 
-# Items per chunk of a trial too large for one draw, whatever its kinds of
+# Items per chunk of a trial alone in its block, whatever its kinds of
 # variate: each kind's words are drawn and counted before the next kind's,
 # so a chunk holds one kind's 1 << 15 words (256 KiB) at a time, and a
 # trial at the CLI-default n = 1e5 takes 4 chunks, one call per kind each.
@@ -98,8 +97,10 @@ _WIDTH = 1 << 15
 # Trials of at most this many words share blocks, four or more to a block's
 # 3 * _CHUNK words, and run in the calling thread: their re-keys and short
 # numpy calls hold the GIL.  On a 2-vCPU VM a second thread took 1.1-1.9x
-# the time of one for trials of 3,000 to 6,000 words alone in their blocks,
-# and 0.7-0.85x for trials of 8,000 to 9,000 words.
+# the time of one for trials of 3,000 to 6,000 words alone in their blocks.
+# For lone trials of 8,000 to 9,000 words, counted a kind at a time, it took
+# 1.01-1.03x (medians of 21 runs of 200 trials), but on that VM two busy
+# processes each ran at half speed: there was no second CPU to use.
 _INLINE_DRAWS = 3 * _CHUNK // 4
 
 
@@ -275,30 +276,29 @@ class _Worker:
     def run(self, cfg: SimConfig, trials: range, augmented: bool, counts: np.ndarray) -> None:
         """Write each trial's (true positives, survivors, good survivors) into ``counts[:, t]``.
 
-        A trial of at most ``3 * _CHUNK`` words takes one draw call from the
-        start of its stream.  The draws of trials that share a block are
-        joined by one ``np.concatenate``, and one :func:`_count` takes a
-        block's row sums.  A larger trial is counted ``width`` items at a
-        time, one kind of word at a time, each chunk's masks counted into
-        plain ints: each kind is drawn from where that kind starts, every
-        kind m words after the one before, so the chunk reads what one
-        ``random_raw(m)`` call from there would return.
+        Trials that share a block each take one draw call from the start of
+        their streams, joined by one ``np.concatenate``, and one
+        :func:`_count` takes a block's row sums.  A trial alone in its block
+        is counted ``_WIDTH`` items at a time, one kind of word at a time,
+        each chunk's masks counted into plain ints: each kind is drawn from
+        where that kind starts, every kind m words after the one before, so
+        the chunk reads what one ``random_raw(m)`` call from there would
+        return.
         """
-        m, kinds, rows, width = _geometry(cfg, augmented)
+        m, kinds, rows = _geometry(cfg, augmented)
         limits = tuple(_word_limit(p) for p in (cfg.pi, cfg.fpr_m, cfg.tpr_m, cfg.r_v))
-        if kinds * width > 3 * _CHUNK:  # more words than one draw takes
+        if rows == 1:
             counts[:, trials.start:trials.stop] = 0
             for t in trials:
-                for lo in range(0, m, width):
-                    size = min(width, m - lo)
+                for lo in range(0, m, _WIDTH):
+                    size = min(_WIDTH, m - lo)
                     counts[:, t] += _count(
                         cfg, limits, lambda kind: self._draw(cfg, t, augmented, kind * m + lo, size),
                         augmented, np.count_nonzero)
             return
         for first in range(trials.start, trials.stop, rows):
             block = range(first, min(first + rows, trials.stop))
-            words = [self._draw(cfg, t, augmented, 0, kinds * m) for t in block]
-            words = words[0] if len(words) == 1 else np.concatenate(words)
+            words = np.concatenate([self._draw(cfg, t, augmented, 0, kinds * m) for t in block])
             words = words.reshape(len(block), kinds, m).swapaxes(0, 1)
             for row, chunk in zip(counts[:, first:block.stop],
                                   _count(cfg, limits, words.__getitem__, augmented, _row_sums)):
@@ -313,20 +313,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _geometry(cfg: SimConfig, augmented: bool) -> tuple[int, int, int, int]:
-    """A trial's (items, kinds of variate, trials per block, items per chunk).
+def _geometry(cfg: SimConfig, augmented: bool) -> tuple[int, int, int]:
+    """A trial's (items, kinds of variate, trials per block).
 
     The kinds are labels, the screener's if augmented and the validator's if
-    R_V < 1.  A trial of at most ``_INLINE_DRAWS`` draws is one chunk, as many
-    to a block as ``3 * _CHUNK`` words hold.  A larger trial is a block
-    alone: one chunk if it has at most ``3 * _CHUNK`` words, or else chunks
-    of ``_WIDTH`` items, whatever its kinds.
+    R_V < 1.  Trials of at most ``_INLINE_DRAWS`` draws share a block, as
+    many as ``3 * _CHUNK`` words hold, four or more.  A larger trial is a
+    block alone, counted in chunks of ``_WIDTH`` items.
     """
     m = cfg.n_total if augmented else cfg.n
     kinds = 1 + augmented + (cfg.r_v < 1.0)
     if kinds * m <= _INLINE_DRAWS:
-        return m, kinds, 3 * _CHUNK // (kinds * m), m
-    return m, kinds, 1, (m if kinds * m <= 3 * _CHUNK else _WIDTH)
+        return m, kinds, 3 * _CHUNK // (kinds * m)
+    return m, kinds, 1
 
 
 def _map_trials(cfg: SimConfig, augmented: bool, workers: int) -> dict[str, np.ndarray]:
@@ -345,7 +344,7 @@ def _map_trials(cfg: SimConfig, augmented: bool, workers: int) -> dict[str, np.n
         counts = np.empty((3, trials), dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: more bytes than numpy can address
         raise MetricsError(f"trials={trials}: per-trial results do not fit in memory") from None
-    m, _, rows, _ = _geometry(cfg, augmented)
+    m, _, rows = _geometry(cfg, augmented)
     split = 1 if rows > 1 else max(1, min(workers, trials, _usable_cpus()))
     runs = [range(trials * i // split, trials * (i + 1) // split) for i in range(split)]
     _run_threads(cfg, augmented, runs, counts)

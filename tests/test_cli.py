@@ -363,10 +363,10 @@ class TestSimulate:
     # to the kernel moves a seeded bit.  A trial of k variate kinds (labels,
     # the screener's if augmented, the validator's if R_V < 1) draws k words
     # per item.  Item counts (baseline n, augmented n + delta_n) cover each
-    # layout: 1000 and 1100 share blocks, 16385 at 1 kind takes one draw
-    # call, and the others are counted a kind at a time, in one chunk, at 1
-    # kind (24577), 2 kinds (12289, 16000, 16385, 24577) and 3 kinds (16384,
-    # 16385).  Trial counts 5 and 7 do not split evenly over 2 or 3 workers.
+    # layout: 1000 and 1100 share blocks, and the others are each a block
+    # alone, counted a kind at a time in one chunk, at 1 kind (16385, 24577),
+    # 2 kinds (12289, 16000, 16385, 24577) and 3 kinds (16384, 16385).  Trial
+    # counts 5 and 7 do not split evenly over 2 or 3 workers.
     GOLDEN = [
         (
             "simulate --model VulDeePecker --pi 0.38 --n 1000 --delta-ratio 0.1"

@@ -151,8 +151,8 @@ class TestChunkedKernel:
         # is the 1-kind one), twelve and eleven to a block: 17 trials end on
         # a partly filled block
         2048 // 2, 2048 // 2 + 1, 2048 // 3, 2048 // 3 + 1,
-        # the largest trial of each kinds that takes one draw call,
-        # 3 * CHUNK // kinds items, and the smallest counted a kind at a time
+        # trials alone in one chunk whose kinds hold about a full block's
+        # 3 * CHUNK words: 3 * CHUNK // kinds items at 2 kinds and at 1
         3 * CHUNK // 2 - 1, 3 * CHUNK // 2, 3 * CHUNK // 2 + 1,
         3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1,
         # a trial counted a kind at a time takes chunks of WIDTH items: around
@@ -202,37 +202,29 @@ class TestChunkedKernel:
         # how far into its stream each trial draws: at R_V = 1 the draws stop
         # after the screener variates (after the labels, for the baseline)
         ends, _ = recorded_draws
-        # small trials take one draw each, and trials above a chunk a chunk at a time
-        for items, (r_v, validated) in itertools.product(
-                (100, WIDTH + 1), ((1.0, 0), (0.9, 1))):
+        # small trials share blocks, one draw each; larger ones are counted a
+        # kind at a time, in one chunk or in two
+        for (items, workers), (r_v, validated) in itertools.product(
+                ((100, 1), (4000, 2), (WIDTH + 1, 1)), ((1.0, 0), (0.9, 1))):
             ends.clear()
             cfg = make_config(n=items, delta_n=10, trials=3, r_v=r_v)
-            compare(cfg)
+            compare(cfg, workers=workers)
             want = {}
             for t in range(cfg.trials):
                 want[t << 1 | False] = (1 + validated) * cfg.n
                 want[t << 1 | True] = (2 + validated) * cfg.n_total
             assert ends == want, (items, r_v)
 
-    def test_trial_in_one_chunk_takes_one_draw_call(self, recorded_draws):
-        # 12,000 draws: above the trials that share a block, inside one chunk
-        ends, calls = recorded_draws
-        cfg = make_config(n=4000, delta_n=0, trials=3, r_v=0.9)
-        run_augmented(cfg, workers=2)
-        streams = [t << 1 | True for t in range(cfg.trials)]
-        assert calls == dict.fromkeys(streams, [3 * cfg.n])
-        assert ends == dict.fromkeys(streams, 3 * cfg.n)
-
     @pytest.mark.parametrize("items", [
-        # around the largest trial that takes one draw call at 3, 2 and 1
-        # kinds, and a trial of three chunks
-        CHUNK, CHUNK + 1, 3 * CHUNK // 2, 3 * CHUNK // 2 + 1, 3 * CHUNK, 3 * CHUNK + 1,
+        # a trial alone in one chunk of 12,000 words at 3 kinds; trials of
+        # 1 to 3 kinds around a full block's 3 * CHUNK words; three chunks
+        4000, CHUNK, CHUNK + 1, 3 * CHUNK // 2, 3 * CHUNK // 2 + 1, 3 * CHUNK, 3 * CHUNK + 1,
         2 * WIDTH + 1,
     ])
     def test_draw_calls_per_trial(self, recorded_draws, items):
-        # a trial of at most 3 * CHUNK words takes them in one call; a larger
-        # one takes each kind in ceil(m / WIDTH) calls of at most WIDTH
-        # words, a chunk's kinds in order
+        # a trial that shares a block takes its words in one call; any other
+        # takes each kind in ceil(m / WIDTH) calls of at most WIDTH words, a
+        # chunk's kinds in order
         _, calls = recorded_draws
         for r_v in (0.9, 1.0):
             calls.clear()
@@ -242,13 +234,13 @@ class TestChunkedKernel:
             for t, augmented in itertools.product(range(cfg.trials), (False, True)):
                 kinds = 1 + augmented + (r_v < 1.0)
                 want[t << 1 | augmented] = (
-                    [kinds * items] if kinds * items <= 3 * CHUNK
+                    [kinds * items] if kinds * items <= INLINE
                     else [min(WIDTH, items - lo) for lo in range(0, items, WIDTH)
                           for _ in range(kinds)])
             assert calls == want, r_v
 
-    # trials that share blocks, a trial alone in one draw, and a trial
-    # counted a kind at a time, at 3 kinds and at 2
+    # trials that share blocks, a trial alone in one chunk, and a trial
+    # alone in many chunks, at 3 kinds and at 2
     @pytest.mark.parametrize("n,trials,r_v", [
         (500, 200, 0.9), (2**12, 2, 0.9), (2**20, 2, 0.9), (2**20, 2, 1.0),
     ], ids=["500", "4096", "1048576", "1048576-full-recall"])
@@ -396,10 +388,11 @@ class TestSamplerSpec:
     @pytest.mark.parametrize("n,delta_n,r_v,trials,layouts,blocks", [
         (200, 40, 0.9, 3, ("block", "block"), (61, 34)),
         (200, 40, 1.0, 3, ("block", "block"), (122, 51)),
-        # 2 * 3,500 baseline draws in one call, and 32,769 augmented items at
-        # 3 kinds, which end on a 1-item chunk
+        # 3,500 baseline items at 2 kinds in one chunk, and 32,769 augmented
+        # items at 3 kinds, which end on a 1-item chunk
         (3500, 29269, 0.9, 2, ("chunk", "chunks"), (1, 1)),
-        # 10,000 and 15,000 draws: too many to share a block, one call each
+        # 10,000 and 15,000 draws: too many to share a block, so each trial
+        # is a block alone in one chunk, one call per kind
         (5000, 0, 0.9, 2, ("chunk", "chunk"), (1, 1)),
         # 1,024 and 2,048 draws fill a block at 24 and 12 trials to a
         # block, so the last block of each stream holds one trial
@@ -413,8 +406,8 @@ class TestSamplerSpec:
         cfg = make_config(n=n, delta_n=delta_n, r_v=r_v, trials=trials, tpr_m=0.3, fpr_m=0.6)
         for run, augmented, layout, block_rows in zip(
                 (run_baseline, run_augmented), (False, True), layouts, blocks):
-            m, _, per_block, width = simulate._geometry(cfg, augmented)
-            assert ("block" if per_block > 1 else "chunk" if width >= m else "chunks") == layout
+            m, _, per_block = simulate._geometry(cfg, augmented)
+            assert ("block" if per_block > 1 else "chunk" if m <= WIDTH else "chunks") == layout
             assert per_block == block_rows
             got = run(cfg)
             rows = zip(got["tp"], got["survivors"], got["good_survivors"])
