@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from pipegate import catalog as cat
 from pipegate import metrics as met
 from pipegate import simulate as sim
 from pipegate.cli import main
@@ -661,6 +662,34 @@ class TestReproduce:
         _, doc, _ = run_json(capsys, "reproduce")
         # 5 starred FPRs + 4 fixed-model figures + 28 grid cells
         assert doc["results"]["checks"] == 37
+
+    def test_tolerances_come_from_the_claims_table(self, capsys, monkeypatch):
+        def with_tolerance(model, figure, tol):
+            monkeypatch.setattr(cat, "PUBLISHED_CLAIMS", tuple(
+                (s, m, f, tol if m == model and figure in f else t)
+                for s, m, f, t in cat.PUBLISHED_CLAIMS))
+            code, doc, _ = run_json(capsys, "reproduce")
+            return code, [row[1] for row in doc["table"]["rows"] if row[-1] != "pass"]
+
+        # CodeJIT RGCN's worst cell misses by 11.3%, inside 12%
+        assert with_tolerance("CodeJIT RGCN", "median", 0.12) == (0, [])
+        # the extra ratio misses by 3.2e-5 in ratio units, beyond 1e-6
+        assert with_tolerance("VulDeePecker", "min_extra_ratio", 1e-6) == (
+            1, ["VulDeePecker min extra ratio"])
+
+    def test_time_limits_are_the_limits_grid(self, capsys):
+        # reproduce and limits compute the grid apart; at the builtin pi they must agree exactly
+        _, reproduced, _ = run_json(capsys, "reproduce")
+        _, limits, _ = run_json(capsys, "limits")
+        computed = {row[1]: row[3] for row in reproduced["table"]["rows"]
+                    if row[0] == "time_limits"}
+        stats = limits["table"]["columns"][1:]
+        grid = {f"{row[0]} / {stat}": cell
+                for row in limits["table"]["rows"] for stat, cell in zip(stats, row[1:])}
+        claimed = sum(len(figures) for section, _, figures, _ in cat.PUBLISHED_CLAIMS
+                      if section == "time_limits")
+        assert computed == grid
+        assert len(grid) == claimed == 28
 
 
 class TestCliPlumbing:

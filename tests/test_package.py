@@ -88,7 +88,7 @@ PUBLIC = {
     "catalog": ["CatalogError", "FPR_REPORTED", "FPR_BAYES", "LATENCY_REPORTED",
                 "LATENCY_LOWER_BOUND", "LATENCY_UNKNOWN", "ModelRecord", "BenchmarkTimes",
                 "Catalog", "builtin_catalog", "builtin_benchmark", "load_catalog",
-                "PUBLISHED_TIME_LIMITS", "PUBLISHED_PLANNING"],
+                "PUBLISHED_CLAIMS"],
     "simulate": ["SimConfig", "Stat", "run_baseline", "run_augmented", "compare",
                  "expected_outcome", "VERDICT_INCONCLUSIVE", "NOTHING_SURVIVES"],
     "cli": ["main"],
