@@ -74,9 +74,7 @@ def _fmt_seconds(value: float) -> str:
 
 def _fmt_result(key: str, value) -> str:
     if isinstance(value, dict) and "value" in value:
-        tag = value.get("provenance")
-        body = _fmt_result(key, value["value"])
-        return f"{body} ({tag})" if tag else body
+        return f"{_fmt_result(key, value['value'])} ({value['provenance']})"
     if isinstance(value, float) and key.endswith("_seconds"):
         return _fmt_seconds(value)
     return _fmt(value)
@@ -334,10 +332,13 @@ def cmd_limits(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     """Check the whole scenario, then sample it and compare with the model.
 
-    Nothing samples before every check has run.  The analytic verdict uses
-    the published P_M under ``as-published`` when :func:`_screener` gives
-    one, and the precision at the generator's pi otherwise; ``inputs``
-    echoes that mode.
+    Nothing samples before every check has run, ``SimConfig``'s included.
+    ``results`` is what :func:`pipegate.simulate.compare` returns, plus the
+    analytic side: the two screener precisions and the analytic verdict,
+    which uses the published P_M under ``as-published`` when
+    :func:`_screener` gives one, and the precision at the generator's pi
+    otherwise; ``inputs`` echoes that mode.  The exit code follows
+    ``analytic_agreement``.
     """
     out = _record("simulate")
     if args.model is not None:
@@ -374,9 +375,6 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
         trials=args.trials,
         seed=args.seed,
     )
-    model = sim.expected_outcome(cfg)
-    if model["survivors"].mean == 0:  # a screener that passes nothing
-        raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
     precision_mode = args.precision_mode if p_pub is not None else PRECISION_CONSISTENT
     p_cons = met.precision_at_prevalence(cfg.tpr_m, cfg.fpr_m, cfg.pi)
     p_m = p_pub if precision_mode == PRECISION_AS_PUBLISHED else p_cons
@@ -391,34 +389,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
         "precision_mode": precision_mode,
     })
 
-    stats, empirical_verdict, probe = sim.compare(cfg, workers=args.workers)
-    if probe is None:  # the screener can pass items, but no trial's did
-        raise CliError(EXIT_INVALID, sim.NOTHING_SURVIVES)
-    out["results"] = {"trials": cfg.trials, "empirical_verdict": empirical_verdict}
-    agree_all = True
-    for key, expected in model.items():
-        stat = stats[key]
-        # the model's SE keeps identical small trials (empirical SE 0), and the
-        # relative floor a constant row's mean off by an ulp, from reading as a regression
-        error = abs(stat.mean - expected.mean)
-        agrees = (error <= 3.0 * max(stat.se, expected.se)
-                  or error <= bnd._REL_TOL * abs(expected.mean))
-        agree_all = agree_all and agrees
-        out["results"][key] = {
-            "mean": stat.mean,
-            "se": stat.se,
-            "analytic": expected.mean,
-            "within_3se": agrees,
-        }
-    out["results"]["analytic_agreement"] = agree_all
-    out["results"]["screener_precision"] = {
-        "as_published": p_m,
-        "prevalence_consistent": p_cons,
-        "empirical_mean": probe.mean,
-        "empirical_se": probe.se,
-    }
-    out["results"]["analytic_verdict"] = analytic_verdict
-    return out, EXIT_OK if agree_all else EXIT_REGRESSION
+    out["results"] = results = sim.compare(cfg, workers=args.workers)
+    results["screener_precision"] = {"as_published": p_m, "prevalence_consistent": p_cons,
+                                     **results["screener_precision"]}
+    results["analytic_verdict"] = analytic_verdict
+    return out, EXIT_OK if results["analytic_agreement"] else EXIT_REGRESSION
 
 
 def _reproduce_rows() -> list[list]:

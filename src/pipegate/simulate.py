@@ -67,7 +67,7 @@ finally:
     if _one_blas_thread:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from pipegate.bounds import VERDICT_CONVENIENT, VERDICT_NOT_CONVENIENT, expected_figures
+from pipegate.bounds import VERDICT_CONVENIENT, VERDICT_NOT_CONVENIENT, _REL_TOL, expected_figures
 from pipegate.metrics import MetricsError, _check_unit, pass_rate
 
 __all__ = [
@@ -98,9 +98,9 @@ _WIDTH = 1 << 15
 # 3 * _CHUNK words, and run in the calling thread: their re-keys and short
 # numpy calls hold the GIL.  On a 2-vCPU VM a second thread took 1.1-1.9x
 # the time of one for trials of 3,000 to 6,000 words alone in their blocks.
-# For lone trials of 8,000 to 9,000 words, counted a kind at a time, it took
-# 1.01-1.03x (medians of 21 runs of 200 trials), but on that VM two busy
-# processes each ran at half speed: there was no second CPU to use.
+# With both CPUs free (200 trials, medians of 15 alternating runs), lone
+# trials of 8,000 to 12,000 words took 0.96-1.41x the wall time at 2 workers
+# as at 1, of 18,000 words 0.69-0.92x, and 100 of 106,000 words 0.61x.
 _INLINE_DRAWS = 3 * _CHUNK // 4
 
 
@@ -111,7 +111,8 @@ class SimConfig:
     ``tpr_m`` and ``fpr_m`` are the screener's rates (R_M and Far_M) and
     ``r_v`` is the validator's recall.  The validator has no FPR here: both
     pipelines count only good items, and charge time per item regardless.
-    At least two trials, so that every statistic has a standard error.
+    At least two trials, so that every statistic has a standard error, and
+    (checked last) a screener that can pass an item.
     """
 
     pi: float
@@ -140,6 +141,8 @@ class SimConfig:
             raise MetricsError(f"trials must be >= 2, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise MetricsError("seed must fit in 64 bits")
+        if pass_rate(self.tpr_m, self.fpr_m, self.pi) == 0:
+            raise MetricsError(NOTHING_SURVIVES)
 
     @property
     def n_total(self) -> int:
@@ -411,14 +414,16 @@ def _margin_verdict(stats: dict[str, Stat]) -> str:
     return VERDICT_INCONCLUSIVE
 
 
-def compare(cfg: SimConfig, workers: int = 1) -> tuple[dict[str, Stat], str, Stat | None]:
-    """Run both pipelines on independent streams: ``(stats, verdict, survivor precision)``.
+def compare(cfg: SimConfig, workers: int = 1) -> dict:
+    """Run both pipelines on independent streams: a ``simulate`` run's ``results``.
 
-    ``stats`` is keyed like :func:`expected_outcome`, and the verdict is the
-    empirical one.  The survivor precision is the screener's precision over
-    the same augmented trials; None when it passed nothing in every trial.
-    numpy stays quiet by policy: a statistic that overflows comes back as
-    inf (or nan), and the caller decides what a non-finite result means.
+    Plain values: the trial count, the empirical verdict, one ``{mean, se,
+    analytic, within_3se}`` per statistic of :func:`expected_outcome`, whether
+    all agree, and the screener's precision over the same augmented trials.
+    A mean agrees within 3 x the larger of its two SEs, or ``_REL_TOL``
+    relative.  Raises ``MetricsError`` when no trial's screener passed an
+    item.  numpy stays quiet by policy: a statistic that overflows comes back
+    as inf (or nan), and the caller decides what a non-finite result means.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         base = run_baseline(cfg, workers=workers)
@@ -432,6 +437,21 @@ def compare(cfg: SimConfig, workers: int = 1) -> tuple[dict[str, Stat], str, Sta
         }
         # good survivors / survivors, over the trials whose screener passed any
         some = aug["survivors"] > 0
-        precision = (_summarize(aug["good_survivors"][some] / aug["survivors"][some])
-                     if some.any() else None)
-    return stats, _margin_verdict(stats), precision
+        if not some.any():  # the screener can pass items, but no trial's did
+            raise MetricsError(NOTHING_SURVIVES)
+        precision = _summarize(aug["good_survivors"][some] / aug["survivors"][some])
+    results = {"trials": cfg.trials, "empirical_verdict": _margin_verdict(stats)}
+    model = expected_outcome(cfg)
+    for key, expected in model.items():
+        stat = stats[key]
+        # the model's SE keeps identical small trials (empirical SE 0), and the
+        # relative floor a constant row's mean off by an ulp, from reading as a regression
+        error = abs(stat.mean - expected.mean)
+        agrees = (error <= 3.0 * max(stat.se, expected.se)
+                  or error <= _REL_TOL * abs(expected.mean))
+        results[key] = {"mean": stat.mean, "se": stat.se, "analytic": expected.mean,
+                        "within_3se": agrees}
+    results["analytic_agreement"] = all(results[key]["within_3se"] for key in model)
+    results["screener_precision"] = {"empirical_mean": precision.mean,
+                                     "empirical_se": precision.se}
+    return results

@@ -200,7 +200,8 @@ def test_criterion_5_oracle_equivalence():
                 trials=trials,
                 seed=SEED,
             )
-            stats, empirical, _ = sim.compare(cfg)
+            results = sim.compare(cfg)
+            empirical = results["empirical_verdict"]
             m = cfg.n_total
             rate = PI_PLANNING * r_m + (1 - PI_PLANNING) * f_m
             expected = {
@@ -214,10 +215,10 @@ def test_criterion_5_oracle_equivalence():
             model = {k: s.mean for k, s in sim.expected_outcome(cfg).items()}
             assert model == pytest.approx(expected, rel=1e-12)
             for key, value in expected.items():
-                stat = stats[key]
-                delta = abs(stat.mean - value)
-                if not (delta <= 3 * stat.se or delta == 0.0):
-                    mismatches.append((record.name, key, stat.mean, value, stat.se))
+                stat = results[key]
+                delta = abs(stat["mean"] - value)
+                if not (delta <= 3 * stat["se"] or delta == 0.0):
+                    mismatches.append((record.name, key, stat["mean"], value, stat["se"]))
 
             # analytic verdict via the prevalence-consistent closed forms
             p_cons = met.precision_at_prevalence(r_m, f_m, PI_PLANNING)
@@ -225,9 +226,10 @@ def test_criterion_5_oracle_equivalence():
                                        tau_v, dn / n)
             # its margins are the reference figures: (R_M/P_cons)*pi is the pass rate
             tp_margin = abs(expected["augmented_tp"] - expected["baseline_tp"])
-            tp_band = 3 * np.hypot(stats["augmented_tp"].se, stats["baseline_tp"].se)
+            tp_band = 3 * np.hypot(results["augmented_tp"]["se"], results["baseline_tp"]["se"])
             time_margin = abs(expected["augmented_time"] - expected["baseline_time"])
-            time_band = 3 * np.hypot(stats["augmented_time"].se, stats["baseline_time"].se)
+            time_band = 3 * np.hypot(results["augmented_time"]["se"],
+                                     results["baseline_time"]["se"])
             if tp_margin > tp_band and time_margin > time_band:
                 verdict_checks += 1
                 if analytic != empirical:

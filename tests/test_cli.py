@@ -430,10 +430,10 @@ class TestSimulate:
         code, doc, _ = run_json(capsys, *self.ARGS, "--workers", "2")
         assert code == 0
         assert len(configs) == 1
-        _, _, probe = sim.compare(configs[0])
+        probe = sim.compare(configs[0])["screener_precision"]
         precision = doc["results"]["screener_precision"]
-        assert precision["empirical_mean"] == probe.mean
-        assert precision["empirical_se"] == probe.se
+        assert precision["empirical_mean"] == probe["empirical_mean"]
+        assert precision["empirical_se"] == probe["empirical_se"]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_identical_small_trials_agree(self, capsys, seed):
@@ -499,6 +499,8 @@ class TestSimulate:
             (("--tpr-m", "0.5", "--workers", "0"), "workers must be >= 1, got 0"),
             (("--tpr-m", "0.5", "--workers", "-4"), "workers must be >= 1, got -4"),
             (("--tpr-m", "0.5", "--validator-tpr", "1.5"), "r_v must be in [0, 1], got 1.5"),
+            (("--tpr-m", "0.5", "--n", str(2**63)), "n must be below 2**63"),
+            (("--tpr-m", "0.5", "--trials", str(2**63)), "trials must be below 2**63"),
         ):
             code, out, err = run_cli(capsys, *base, *extra)
             assert code == 3

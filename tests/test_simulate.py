@@ -54,14 +54,14 @@ class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
         cfg = make_config()
         assert compare(cfg, workers=1) == compare(cfg, workers=4)
-        _, _, probe1 = compare(cfg, workers=1)
-        _, _, probe8 = compare(cfg, workers=8)
+        probe1 = compare(cfg, workers=1)["screener_precision"]
+        probe8 = compare(cfg, workers=8)["screener_precision"]
         assert probe1 == probe8
 
     def test_different_seeds_differ(self):
-        a, _, _ = compare(make_config(seed=1))
-        b, _, _ = compare(make_config(seed=2))
-        assert a["baseline_tp"].mean != b["baseline_tp"].mean
+        a = compare(make_config(seed=1))
+        b = compare(make_config(seed=2))
+        assert a["baseline_tp"]["mean"] != b["baseline_tp"]["mean"]
 
     def test_baseline_and_augmented_streams_independent(self):
         cfg = make_config(delta_n=0, tau_m=0.0, tpr_m=1.0, fpr_m=1.0)
@@ -486,6 +486,12 @@ class TestModel:
         cfg = make_config(pi=0.5, tpr_m=0.5, r_v=0.5, n=400, delta_n=48, trials=4)
         assert expected_outcome(cfg)["augmented_tp"].se == 3.5
 
+    def test_baseline_tp_standard_error(self):
+        # p = pi * R_V = 1/4 over n = 48 items: one trial's SD is
+        # sqrt(48 * 1/4 * 3/4) = 3, over sqrt(4) trials; every step is exact
+        cfg = make_config(pi=0.5, r_v=0.5, n=48, delta_n=0, trials=4)
+        assert expected_outcome(cfg)["baseline_tp"].se == 1.5
+
     @pytest.mark.parametrize("overrides", [
         {},
         {"n": 333, "delta_n": 17, "tau_v": 237.97, "r_v": 0.8},
@@ -507,12 +513,12 @@ class TestCompare:
     def test_convenient_scenario(self):
         # analytic margins are wide: tau_v=600 far above the 4.6 min floor
         cfg = make_config(n=100_000, delta_n=6000, trials=100, tau_v=600.0)
-        _, verdict, _ = compare(cfg)
+        verdict = compare(cfg)["empirical_verdict"]
         assert verdict == "convenient"
 
     def test_fast_validator_not_convenient(self):
         cfg = make_config(tau_v=27.04)
-        _, verdict, _ = compare(cfg)
+        verdict = compare(cfg)["empirical_verdict"]
         assert verdict == "not-convenient"
 
     def test_boundary_config_inconclusive(self):
@@ -525,7 +531,7 @@ class TestCompare:
         tau_v = 600.0
         tau_m = tau_v * (1 / (1 + dn_ratio) - (r_m / p_cons) * 0.38)
         cfg = make_config(n=n, delta_n=int(round(n * dn_ratio)), tau_m=tau_m, tau_v=tau_v)
-        _, verdict, _ = compare(cfg)
+        verdict = compare(cfg)["empirical_verdict"]
         assert verdict == VERDICT_INCONCLUSIVE
 
     def test_trials_recorded(self, capsys):
@@ -540,28 +546,91 @@ class TestCompare:
         assert json.loads(capsys.readouterr().out)["results"]["trials"] == cfg.trials
 
 
+    # three of the golden argvs in test_cli.py: shared blocks, and trials alone at 2 and 1 kinds
+    GOLDEN = [
+        "--model VulDeePecker --pi 0.38 --n 1000 --delta-ratio 0.1 --tau-v 600 --trials 7"
+        " --seed 3",
+        "--tpr-m 0.8 --fpr-m 0.3 --pi 0.2 --n 16000 --delta-ratio 0.024 --tau-v 5 --tau-m 1"
+        " --validator-tpr 0.9 --trials 5 --seed 11",
+        "--model LineVul --tau-m 2 --pi 0.5 --n 16385 --tau-v 30 --trials 5 --seed 7"
+        " --precision-mode prevalence-consistent",
+    ]
+
+    @pytest.mark.parametrize("argv", GOLDEN)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_returns_the_runs_results(self, capsys, monkeypatch, argv, workers):
+        # the CLI adds only the analytic side to what compare returns
+        configs = []
+        real = simulate.compare
+
+        def recording(cfg, workers=1):
+            configs.append(cfg)
+            return real(cfg, workers=workers)
+
+        monkeypatch.setattr(simulate, "compare", recording)
+        assert main(["simulate", *argv.split(), "--format", "json"]) == 0
+        want = json.loads(capsys.readouterr().out)["results"]
+        del want["analytic_verdict"]
+        del want["screener_precision"]["as_published"]
+        del want["screener_precision"]["prevalence_consistent"]
+        got = real(configs[0], workers)
+        assert got == want
+        assert list(got) == ["trials", "empirical_verdict", *expected_outcome(configs[0]),
+                             "analytic_agreement", "screener_precision"]
+        assert list(got["baseline_tp"]) == ["mean", "se", "analytic", "within_3se"]
+
+    def test_agreement_at_exact_ties(self, monkeypatch):
+        # a pass-through screener at tau_M = 0 makes the survivors (1024) and
+        # both times (n * tau_V = a) the same in every trial, with an SE of 0.
+        # Every model figure below is dyadic, so each tie is exact: survivors
+        # 1.5 off at an SE of 0.5, and b = 1e9 / 4096 with 1e-9 * b == 2**-12
+        b = 1e9 / 4096
+        a = b + 2**-12
+        cfg = make_config(n=1024, delta_n=0, tpr_m=1.0, fpr_m=1.0, tau_m=0.0, tau_v=a / 1024,
+                          trials=4)
+        model = expected_outcome(cfg)
+        model["survivors"] = simulate.Stat(1024 + 1.5, 0.5)
+        model["baseline_time"] = simulate.Stat(b, 0.0)
+        model["augmented_time"] = simulate.Stat(a + 2.0, 0.5)  # 4 SEs off
+        monkeypatch.setattr(simulate, "expected_outcome", lambda cfg: model)
+        results = compare(cfg)
+        assert [results[key]["mean"] for key in ("survivors", "baseline_time", "augmented_time")] \
+            == [1024, a, a]
+        assert results["survivors"]["within_3se"] is True
+        assert results["baseline_time"]["within_3se"] is True
+        assert results["augmented_time"]["within_3se"] is False
+        assert results["analytic_agreement"] is False
+
+
 class TestSurvivorPrecisionProbe:
     def test_matches_prevalence_consistent_precision(self):
         cfg = make_config(n=100_000, trials=100)
-        _, _, stat = compare(cfg)
+        stat = compare(cfg)["screener_precision"]
         expected = precision_at_prevalence(0.95, 0.16, 0.38)
         assert expected == pytest.approx(0.784, abs=5e-4)
-        assert abs(stat.mean - expected) <= 3 * stat.se
+        assert abs(stat["empirical_mean"] - expected) <= 3 * stat["empirical_se"]
 
     def test_zero_fpr_gives_perfect_precision(self):
         cfg = make_config(tpr_m=0.9, fpr_m=0.0)
-        _, _, stat = compare(cfg)
-        assert stat.mean == 1.0
-        assert stat.se == 0.0
+        stat = compare(cfg)["screener_precision"]
+        assert stat["empirical_mean"] == 1.0
+        assert stat["empirical_se"] == 0.0
+
+    def test_screener_passing_nothing_rejected(self):
+        # decided by the rates alone, before anything samples
+        with pytest.raises(MetricsError, match=simulate.NOTHING_SURVIVES):
+            make_config(tpr_m=0.0, fpr_m=0.0, trials=3)
 
     def test_nothing_survives(self):
-        cfg = make_config(tpr_m=0.0, fpr_m=0.0, trials=3)
-        assert compare(cfg)[2] is None
+        # the screener can pass items, but at q = 3.8e-13 over 3 trials of 100 no trial's did
+        cfg = make_config(tpr_m=1e-12, fpr_m=0.0, n=100, delta_n=0, trials=3)
+        with pytest.raises(MetricsError, match=simulate.NOTHING_SURVIVES):
+            compare(cfg)
 
     def test_uninformative_screener_precision_equals_prevalence(self):
         cfg = make_config(n=100_000, tpr_m=0.5, fpr_m=0.5, trials=100)
-        _, _, stat = compare(cfg)
-        assert abs(stat.mean - 0.38) <= 3 * stat.se
+        stat = compare(cfg)["screener_precision"]
+        assert abs(stat["empirical_mean"] - 0.38) <= 3 * stat["empirical_se"]
 
 
 class TestConfigValidation:
